@@ -19,7 +19,9 @@ whose q = 1/2 case is the Hellinger row 2(sqrt(K) - 1).
 import math
 from dataclasses import dataclass
 
-from .losses import KINDS, LossSpec
+from .losses import KINDS, LossSpec, fr_sum_bounds, loss_sum_range_width
+
+SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
 
 
 def _check_regime(num_classes: int, eta: float) -> None:
@@ -28,20 +30,6 @@ def _check_regime(num_classes: int, eta: float) -> None:
     limit = (num_classes - 1) / num_classes
     if not 0.0 <= eta < limit:
         raise ValueError(f"eta must lie in [0, {limit}) for K = {num_classes}, got {eta}")
-
-
-def fr_sum_bounds(num_classes: int) -> tuple[float, float]:
-    """Range of sum_y L_FR(p, y) over the simplex.
-
-    Returns (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)); the minimum is attained
-    at the uniform distribution, the maximum at the vertices.
-    """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    k = num_classes
-    lower = k * math.acos(1.0 / math.sqrt(k)) ** 2
-    upper = (math.pi**2 / 4.0) * (k - 1)
-    return lower, upper
 
 
 def fr_critical_value(num_classes: int, j: int) -> float:
@@ -59,32 +47,10 @@ def fr_critical_value(num_classes: int, j: int) -> float:
     return (num_classes - j) * math.pi**2 / 4.0 + j * math.acos(1.0 / math.sqrt(j)) ** 2
 
 
-def _sum_range_width(spec: LossSpec, k: float) -> float | None:
-    """S_max - S_min for the loss-sum over the simplex; None means unbounded."""
-    if spec.kind == "mae":
-        return 0.0
-    if spec.kind == "mse":
-        return float(k - 1)  # range (K-1, 2(K-1))
-    if spec.kind == "ce":
-        return None
-    if spec.kind == "hellinger":
-        return 2.0 * (math.sqrt(k) - 1.0)
-    if spec.kind == "fr":
-        lower, upper = fr_sum_bounds(int(k))
-        return upper - lower
-    if spec.kind == "qce":
-        if spec.q == 0.0:
-            return 0.0  # MAE row
-        if spec.q == 1.0:
-            return None  # CE row
-        return (k**spec.q - 1.0) / (1.0 - spec.q)
-    raise AssertionError(spec.kind)
-
-
 def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
     """Upper bound A(K, eta) on the noisy-risk gap; +inf for CE-like losses."""
     _check_regime(num_classes, eta)
-    width = _sum_range_width(spec, float(num_classes))
+    width = loss_sum_range_width(spec, num_classes)
     if width is None:
         return math.inf
     # group the K-only factor so the MSE row comes out as exactly eta
@@ -94,7 +60,7 @@ def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
 def bound_B(spec: LossSpec, num_classes: int, eta: float) -> float:
     """Lower bound B(K, eta) on the clean-risk gap; -inf for CE-like losses."""
     _check_regime(num_classes, eta)
-    width = _sum_range_width(spec, float(num_classes))
+    width = loss_sum_range_width(spec, num_classes)
     if width is None:
         return -math.inf
     return -eta * width / (num_classes - 1 - eta * num_classes)
@@ -119,60 +85,44 @@ def bounds(spec: LossSpec, num_classes: int, eta: float) -> BoundResult:
     )
 
 
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    return alpha
+
+
+def _sweep_rows(specs: list[LossSpec], points) -> list[dict]:
+    """One row per (alpha, K) point and spec, keyed by SWEEP_COLUMNS."""
+    rows = []
+    for alpha, k in points:
+        eta = alpha * (1.0 - 1.0 / k)
+        for spec in specs:
+            values = (spec.kind, spec.q, k, alpha, eta, bound_A(spec, k, eta), bound_B(spec, k, eta))
+            rows.append(dict(zip(SWEEP_COLUMNS, values)))
+    return rows
+
+
 def alpha_sweep(specs: list[LossSpec], num_classes: int, alphas) -> list[dict]:
     """Bound curves at fixed K over a grid of alpha = eta K/(K-1) in [0, 1).
 
     Returns one row per (alpha, spec): dict with keys
     loss, q, K, alpha, eta, A, B (A/B are +/-inf for CE).
     """
-    rows = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-        eta = alpha * (1.0 - 1.0 / num_classes)
-        for spec in specs:
-            rows.append(
-                {
-                    "loss": spec.kind,
-                    "q": spec.q,
-                    "K": num_classes,
-                    "alpha": alpha,
-                    "eta": eta,
-                    "A": bound_A(spec, num_classes, eta),
-                    "B": bound_B(spec, num_classes, eta),
-                }
-            )
-    return rows
+    return _sweep_rows(specs, ((_check_alpha(alpha), num_classes) for alpha in alphas))
 
 
 def class_count_sweep(specs: list[LossSpec], alpha: float, class_counts) -> list[dict]:
     """Bound curves at fixed alpha over a grid of class counts K >= 2."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    rows = []
-    for k in class_counts:
-        k = int(k)
-        eta = alpha * (1.0 - 1.0 / k)
-        for spec in specs:
-            rows.append(
-                {
-                    "loss": spec.kind,
-                    "q": spec.q,
-                    "K": k,
-                    "alpha": alpha,
-                    "eta": eta,
-                    "A": bound_A(spec, k, eta),
-                    "B": bound_B(spec, k, eta),
-                }
-            )
-    return rows
+    alpha = _check_alpha(alpha)
+    return _sweep_rows(specs, ((alpha, int(k)) for k in class_counts))
 
 
 # Re-export for callers that build specs from strings at sweep time.
 __all__ = [
     "BoundResult",
     "KINDS",
+    "SWEEP_COLUMNS",
     "alpha_sweep",
     "bound_A",
     "bound_B",

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import svgplot
-from .bounds import alpha_sweep, class_count_sweep
-from .data import DataFormatError, SyntheticSpec, generate_synthetic, save_csv
+from .bounds import SWEEP_COLUMNS, alpha_sweep, class_count_sweep
+from .data import DataFormatError, SyntheticSpec, generate_synthetic, save_csv, write_rows
 from .experiment import (
     grid_search_lr,
     load_datasets,
@@ -41,14 +41,6 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(",") if tok.strip()], dtype=np.float64)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
@@ -66,11 +58,7 @@ def cmd_bounds(args) -> int:
         x_key, x_label = "K", "number of classes K"
         default_out = "bounds_K.csv"
     out = args.out if args.out else default_out
-    cols = ["loss", "q", "K", "alpha", "eta", "A", "B"]
-    with open(out, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    write_rows(out, SWEEP_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if args.svg:
         stem = os.path.splitext(out)[0]
@@ -160,22 +148,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_losses_table(args) -> int:
     specs = _parse_losses(args.losses)
-    for spec in specs:
-        if spec.kind == "mse":
-            raise ValueError("mse is not a function of p_y alone; it has no h/|h'| row")
     grid = np.arange(1, args.points + 1, dtype=np.float64) / args.points  # (0, 1]
-    out = args.out
-    with open(out, "w", encoding="ascii", newline="\n") as f:
-        f.write("loss,q,p,h,h_prime_abs\n")
-        for spec in specs:
-            probs = np.zeros((grid.size, 2))
-            probs[:, 0] = grid
-            probs[:, 1] = 1.0 - grid
-            h = loss_values(spec, probs, np.zeros(grid.size, dtype=np.int64))
-            hp = h_prime_abs(spec, grid)
-            for t, hv, hpv in zip(grid, h, hp):
-                f.write(",".join([spec.kind, _fmt(spec.q), repr(float(t)), repr(float(hv)), repr(float(hpv))]) + "\n")
-    print(f"wrote {out} ({len(specs)} losses x {grid.size} grid points)")
+    probs = np.stack([grid, 1.0 - grid], axis=1)
+    labels = np.zeros(grid.size, dtype=np.int64)
+    rows = []
+    for spec in specs:
+        h = loss_values(spec, probs, labels)
+        rows.extend((spec.kind, spec.q, t, hv, hpv) for t, hv, hpv in zip(grid, h, h_prime_abs(spec, grid)))
+    write_rows(args.out, ("loss", "q", "p", "h", "h_prime_abs"), rows)
+    print(f"wrote {args.out} ({len(specs)} losses x {grid.size} grid points)")
     return EXIT_OK
 
 

@@ -36,6 +36,53 @@ class DataFormatError(ValueError):
         self.line = line
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # numpy 2's repr would write np.float64(...)
+    return str(value)
+
+
+def write_rows(path, columns, rows) -> None:
+    """Write the package's CSV format: ascii, '\n' line ends, a header row.
+
+    A row is a sequence of cells in column order, or a dict keyed by column
+    name.  Floats are written with repr (exact round trip), None as ''.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = [row[c] for c in columns] if isinstance(row, dict) else row
+            f.write(",".join(map(_cell, cells)) + "\n")
+
+
+def read_rows(path, columns, parse) -> list:
+    """``parse(fields)`` of every data row of a CSV whose header is ``columns``.
+
+    Raises DataFormatError with the line number on a bad header, a wrong
+    field count, or a ValueError from ``parse``.
+    """
+    columns = list(columns)
+    with open(path, "r", encoding="ascii") as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise DataFormatError("empty file", path=path, line=1)
+    header = lines[0].split(",")
+    if header != columns:
+        raise DataFormatError(f"bad header {header!r}", path=path, line=1)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise DataFormatError(f"expected {len(columns)} fields, got {len(fields)}", path=path, line=lineno)
+        try:
+            rows.append(parse(fields))
+        except ValueError as exc:
+            raise DataFormatError(f"unparseable value ({exc})", path=path, line=lineno) from None
+    return rows
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Immutable feature matrix (N, m) with integer labels (N,) in [0, K)."""
@@ -195,15 +242,17 @@ def load_mnist(images_path, labels_path, num_classes: int = 10) -> LabeledDatase
             offset=4,
         )
     feats = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
-    return LabeledDataset(feats, raw_labels.astype(np.int64), num_classes)
+    try:
+        return LabeledDataset(feats, raw_labels.astype(np.int64), num_classes)
+    except ValueError as exc:
+        raise DataFormatError(str(exc), path=labels_path) from None
 
 
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write 'f0,...,f{m-1},label' rows; floats via repr (exact round-trip)."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join([f"f{j}" for j in range(ds.num_features)] + ["label"]) + "\n")
-        for row, label in zip(ds.features, ds.labels):
-            f.write(",".join([repr(float(v)) for v in row] + [str(int(label))]) + "\n")
+    columns = [f"f{j}" for j in range(ds.num_features)] + ["label"]
+    rows = (feats + [label] for feats, label in zip(ds.features.tolist(), ds.labels.tolist()))
+    write_rows(path, columns, rows)
 
 
 def load_csv(path, num_classes: int | None = None) -> LabeledDataset:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, load_mnist
+from .data import (DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, load_mnist,
+                   read_rows, write_rows)
 from .losses import LossSpec
 from .mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train
 from .noise import NoiseSpec, corrupt_labels
@@ -26,6 +27,7 @@ SUMMARY_COLUMNS = (
     "loss,q,eta,mean_test_acc,std_test_acc,n_seeds,mean_best_test_acc,acc_metric,n_diverged"
 )
 PER_EPOCH_COLUMNS = "run_id,loss,q,eta,seed,epoch,train_loss,train_acc,test_acc"
+LR_TABLE_COLUMNS = ("loss", "q", "eta", "lr", "final_test_acc", "selected")
 
 
 @dataclass(frozen=True)
@@ -330,94 +332,51 @@ def summarize(results: list[RunResult]) -> list[dict]:
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run_id(loss: LossSpec, eta: float, seed: int) -> str:
     return f"{loss}-eta{eta:g}-seed{seed}"
 
 
 def write_per_epoch_csv(path, results: list[RunResult]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(PER_EPOCH_COLUMNS + "\n")
-        for r in results:
-            rid = run_id(r.loss, r.eta, r.seed)
-            for rec in r.records:
-                f.write(",".join([
-                    rid, r.loss.kind, _fmt(r.loss.q), repr(r.eta), str(r.seed),
-                    str(rec.epoch), repr(rec.train_loss), repr(rec.train_acc), _fmt(rec.test_acc),
-                ]) + "\n")
+    write_rows(path, PER_EPOCH_COLUMNS.split(","), (
+        (run_id(r.loss, r.eta, r.seed), r.loss.kind, r.loss.q, r.eta, r.seed,
+         rec.epoch, rec.train_loss, rec.train_acc, rec.test_acc)
+        for r in results for rec in r.records
+    ))
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:
-    cols = SUMMARY_COLUMNS.split(",")
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(SUMMARY_COLUMNS + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    write_rows(path, SUMMARY_COLUMNS.split(","), rows)
 
 
 def write_lr_table_csv(path, rows: list[dict]) -> None:
-    cols = ["loss", "q", "eta", "lr", "final_test_acc", "selected"]
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    write_rows(path, LR_TABLE_COLUMNS, rows)
 
 
-def _split_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DataFormatError("empty file", path=path, line=1)
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def read_lr_table(path) -> dict[tuple[str, float], float]:
     """Selected learning rates from a grid-search CSV: (loss str, eta) -> lr."""
-    header, rows = _split_csv(path)
-    expected = ["loss", "q", "eta", "lr", "final_test_acc", "selected"]
-    if header != expected:
-        raise DataFormatError(f"bad header {header!r}", path=path, line=1)
-    table = {}
-    for i, parts in enumerate(rows, start=2):
-        if len(parts) != len(expected):
-            raise DataFormatError(f"expected {len(expected)} fields, got {len(parts)}", path=path, line=i)
-        if parts[5] == "1":
-            loss = LossSpec(parts[0], float(parts[1]) if parts[1] else None)
-            table[(str(loss), float(parts[2]))] = float(parts[3])
-    return table
+
+    def selected(fields):
+        loss, q, eta, lr, _, chosen = fields
+        if chosen != "1":
+            return None
+        return (str(LossSpec(loss, _optional_float(q))), float(eta)), float(lr)
+
+    return dict(row for row in read_rows(path, LR_TABLE_COLUMNS, selected) if row is not None)
+
+
+_PER_EPOCH_TYPES = (str, str, _optional_float, float, int, int, float, float, _optional_float)
 
 
 def read_per_epoch_csv(path) -> list[dict]:
     """Rows of a per-epoch CSV, typed; test_acc is None where it was skipped."""
-    header, raw_rows = _split_csv(path)
-    if header != PER_EPOCH_COLUMNS.split(","):
-        raise DataFormatError(f"bad header {header!r}", path=path, line=1)
-    rows = []
-    for i, parts in enumerate(raw_rows, start=2):
-        if len(parts) != 9:
-            raise DataFormatError(f"expected 9 fields, got {len(parts)}", path=path, line=i)
-        try:
-            rows.append({
-                "run_id": parts[0],
-                "loss": parts[1],
-                "q": float(parts[2]) if parts[2] else None,
-                "eta": float(parts[3]),
-                "seed": int(parts[4]),
-                "epoch": int(parts[5]),
-                "train_loss": float(parts[6]),
-                "train_acc": float(parts[7]),
-                "test_acc": float(parts[8]) if parts[8] else None,
-            })
-        except ValueError as exc:
-            raise DataFormatError(f"unparseable value ({exc})", path=path, line=i) from None
-    return rows
+    columns = PER_EPOCH_COLUMNS.split(",")
+    return read_rows(path, columns, lambda fields: {
+        col: cast(v) for col, cast, v in zip(columns, _PER_EPOCH_TYPES, fields)
+    })
 
 
 def summarize_from_csv(path) -> list[dict]:
@@ -428,6 +387,8 @@ def summarize_from_csv(path) -> list[dict]:
     file (all cells of a sweep share the same epoch budget).
     """
     rows = read_per_epoch_csv(path)
+    if not rows:
+        raise DataFormatError("no data rows", path=path, line=1)
     by_run: dict[str, list[dict]] = {}
     run_order = []
     for row in rows:

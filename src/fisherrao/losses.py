@@ -18,9 +18,15 @@ MAE <= Hellinger <= FR <= CE holds.
 Gradients with respect to scores use t clamped to [CLAMP_EPS, 1] in both the
 derivative factor |h'(t)| and the multiplier t, so the CE gradient stays
 exactly p - e_y and every factor stays finite.
+
+Each p_y kind is one row of ``_KIND_TABLE``: h(t), |h'(t)| and the width of
+the range of sum_y L(p, y) over the simplex, which sets the robustness
+bounds.  MSE is the one kind handled apart.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,7 +36,71 @@ from .simplex import as_distribution, as_scores, softmax
 # Probabilities are clamped to at least this before logs / negative powers.
 CLAMP_EPS = 1e-12
 
-KINDS = ("mse", "mae", "ce", "qce", "fr", "hellinger")
+
+def fr_sum_bounds(num_classes: int) -> tuple[float, float]:
+    """Range of sum_y L_FR(p, y) over the simplex.
+
+    Returns (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)); the minimum is attained
+    at the uniform distribution, the maximum at the vertices.
+    """
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    k = num_classes
+    lower = k * math.acos(1.0 / math.sqrt(k)) ** 2
+    upper = (math.pi**2 / 4.0) * (k - 1)
+    return lower, upper
+
+
+def _clamp(t):
+    return np.clip(t, CLAMP_EPS, 1.0)
+
+
+def _fr_h(t, q):
+    return np.arccos(np.clip(np.sqrt(_clamp(t)), -1.0, 1.0)) ** 2
+
+
+def _fr_h_prime_abs(t, q):
+    # arccos(sqrt(t)) = arcsin(w) with w = sqrt(1 - t); divide out w
+    # analytically so the t -> 1 limit evaluates to exactly 1/sqrt(t).
+    w = np.sqrt(1.0 - t)
+    w_safe = np.where(w > 1e-8, w, 1.0)
+    ratio = np.where(w > 1e-8, np.arcsin(np.clip(w, -1.0, 1.0)) / w_safe, 1.0 + w * w / 6.0)
+    return ratio / np.sqrt(t)
+
+
+def _fr_width(k, q):
+    lower, upper = fr_sum_bounds(int(k))
+    return upper - lower
+
+
+def _qce_width(k, q):
+    if q == 0.0:
+        return 0.0  # MAE row
+    if q == 1.0:
+        return None  # CE row
+    return (k**q - 1.0) / (1.0 - q)
+
+
+class _Kind(NamedTuple):
+    # Every function also takes the q-CE exponent q (None for other kinds).
+    h: Callable  # (t, q) -> loss, t the unclamped true-class probability
+    h_prime_abs: Callable  # (t, q) -> |h'(t)|, t already clamped to [CLAMP_EPS, 1]
+    sum_width: Callable  # (K, q) -> S_max - S_min of sum_y L(p, y); None if unbounded
+
+
+_KIND_TABLE = {
+    "mae": _Kind(lambda t, q: 1.0 - t, lambda t, q: np.ones_like(t), lambda k, q: 0.0),
+    "ce": _Kind(lambda t, q: -np.log(_clamp(t)), lambda t, q: 1.0 / t, lambda k, q: None),
+    "qce": _Kind(lambda t, q: -q_logarithm(_clamp(t), q), lambda t, q: t ** (-q), _qce_width),
+    "fr": _Kind(_fr_h, _fr_h_prime_abs, _fr_width),
+    "hellinger": _Kind(
+        lambda t, q: 2.0 * (1.0 - np.sqrt(_clamp(t))),
+        lambda t, q: 1.0 / np.sqrt(t),
+        lambda k, q: 2.0 * (math.sqrt(k) - 1.0),
+    ),
+}
+
+KINDS = ("mse", *_KIND_TABLE)
 
 
 @dataclass(frozen=True)
@@ -115,19 +185,7 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     t = _true_class_probs(probs, labels)
     if spec.kind == "mse":
         return (probs * probs).sum(axis=1) - 2.0 * t + 1.0
-    if spec.kind == "mae":
-        return 1.0 - t
-    tc = np.clip(t, CLAMP_EPS, 1.0)
-    if spec.kind == "ce":
-        return -np.log(tc)
-    if spec.kind == "qce":
-        return -q_logarithm(tc, spec.q)
-    root = np.sqrt(tc)
-    if spec.kind == "fr":
-        return np.arccos(np.clip(root, -1.0, 1.0)) ** 2
-    if spec.kind == "hellinger":
-        return 2.0 * (1.0 - root)
-    raise AssertionError(spec.kind)
+    return _KIND_TABLE[spec.kind].h(t, spec.q)
 
 
 def loss_value(spec: LossSpec, p, y: int) -> float:
@@ -147,23 +205,19 @@ def h_prime_abs(spec: LossSpec, t) -> NDArray[np.float64]:
     """
     if spec.kind == "mse":
         raise ValueError("mse is not a function of the true-class probability alone")
-    t = np.clip(np.asarray(t, dtype=np.float64), CLAMP_EPS, 1.0)
-    if spec.kind == "mae":
-        return np.ones_like(t)
-    if spec.kind == "ce":
-        return 1.0 / t
-    if spec.kind == "qce":
-        return t ** (-spec.q)
-    if spec.kind == "hellinger":
-        return 1.0 / np.sqrt(t)
-    if spec.kind == "fr":
-        # arccos(sqrt(t)) = arcsin(w) with w = sqrt(1 - t); divide out w
-        # analytically so the t -> 1 limit evaluates to exactly 1/sqrt(t).
-        w = np.sqrt(1.0 - t)
-        w_safe = np.where(w > 1e-8, w, 1.0)
-        ratio = np.where(w > 1e-8, np.arcsin(np.clip(w, -1.0, 1.0)) / w_safe, 1.0 + w * w / 6.0)
-        return ratio / np.sqrt(t)
-    raise AssertionError(spec.kind)
+    t = _clamp(np.asarray(t, dtype=np.float64))
+    return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q)
+
+
+def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
+    """S_max - S_min for sum_y L(p, y) over the K-simplex; None means unbounded.
+
+    MSE's sum K (||p||^2 + 1) - 2 ranges over [K - 1, 2 (K - 1)].
+    """
+    k = float(num_classes)
+    if spec.kind == "mse":
+        return k - 1.0
+    return _KIND_TABLE[spec.kind].sum_width(k, spec.q)
 
 
 def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
@@ -202,7 +256,7 @@ def loss_sum_over_classes(spec: LossSpec, p) -> float:
 
     Closed forms: MAE gives K - 1 identically; MSE gives K (||p||^2 + 1) - 2,
     which ranges over [K - 1, 2 (K - 1)]; FR ranges over
-    [K arccos(1/sqrt(K))^2, (pi^2/4) (K - 1)] (see ``bounds.fr_sum_bounds``).
+    [K arccos(1/sqrt(K))^2, (pi^2/4) (K - 1)] (see ``fr_sum_bounds``).
     """
     p = as_distribution(p)
     k = p.size

@@ -95,11 +95,13 @@ def init_model(config: MlpConfig) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def _forward_scores(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    h = x
+def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """[x, hidden ReLU activations..., scores] for a batch x of shape (n, m)."""
+    acts = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h @ model.weights[-1] + model.biases[-1]
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1])
+    return acts
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -107,7 +109,7 @@ def forward(model: MlpModel, x) -> NDArray[np.float64]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.weights[0].shape[0],):
         raise ValueError(f"expected feature vector of length {model.weights[0].shape[0]}, got shape {x.shape}")
-    return _forward_scores(model, x[None, :])[0]
+    return _forward(model, x[None, :])[-1][0]
 
 
 def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
@@ -122,15 +124,8 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     if n == 0:
         raise ValueError("empty batch")
 
-    acts = [x]  # input to each layer
-    pre_relu = []
-    h = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b
-        pre_relu.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    scores = h @ model.weights[-1] + model.biases[-1]
+    acts = _forward(model, x)  # acts[layer] is the input to that layer
+    scores = acts[-1]
     if not np.all(np.isfinite(scores)):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
     probs = softmax(scores)
@@ -143,7 +138,8 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
         grad_w[layer] = acts[layer].T @ delta
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre_relu[layer - 1] > 0.0)
+            # max(z, 0) > 0 exactly where z > 0: the ReLU mask
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
     if not all(np.all(np.isfinite(g)) for g in grad_w):
         raise TrainingDiverged("non-finite gradient", epoch=0, records=[])
     return grad_w, grad_b, mean_loss
@@ -156,7 +152,7 @@ def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2
     for start in range(0, len(ds), chunk):
         x = ds.features[start : start + chunk]
         y = ds.labels[start : start + chunk]
-        scores = _forward_scores(model, x)
+        scores = _forward(model, x)[-1]
         correct += int((np.argmax(scores, axis=1) == y).sum())
         loss_total += float(loss_values(spec, softmax(scores), y).sum())
     return correct / len(ds), loss_total / len(ds)

@@ -31,7 +31,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
+def _tick_label(v: float) -> str:
     if v == int(v) and abs(v) < 1e6:
         return str(int(v))
     return f"{v:.4g}"
@@ -89,13 +89,13 @@ def line_plot(
         ET.SubElement(svg, "line", x1=f"{px:.2f}", y1=str(_MARGIN_T), x2=f"{px:.2f}",
                       y2=str(_MARGIN_T + plot_h), stroke="#dddddd")
         ET.SubElement(svg, "text", x=f"{px:.2f}", y=str(_MARGIN_T + plot_h + 16),
-                      **{"text-anchor": "middle", **font}).text = _fmt(t)
+                      **{"text-anchor": "middle", **font}).text = _tick_label(t)
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
         ET.SubElement(svg, "line", x1=str(_MARGIN_L), y1=f"{py:.2f}",
                       x2=str(_MARGIN_L + plot_w), y2=f"{py:.2f}", stroke="#dddddd")
         ET.SubElement(svg, "text", x=str(_MARGIN_L - 6), y=f"{py + 4:.2f}",
-                      **{"text-anchor": "end", **font}).text = _fmt(t)
+                      **{"text-anchor": "end", **font}).text = _tick_label(t)
 
     # axes
     ET.SubElement(svg, "rect", x=str(_MARGIN_L), y=str(_MARGIN_T), width=str(plot_w),

@@ -229,6 +229,14 @@ def test_grid_lr_then_train_from_table(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
+    table = tmp_path / "lr.csv"
+    table.write_text("loss,q,eta,lr,final_test_acc,selected\nce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1\n")
+    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr_file=str(table))
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- usage
 
 

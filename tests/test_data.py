@@ -192,6 +192,15 @@ def test_load_idx_trailing_garbage(idx_pair, tmp_path):
         load_mnist(img_path, padded)
 
 
+def test_load_idx_label_out_of_range_is_data_error(idx_pair, tmp_path):
+    img_path, _ = idx_pair
+    bad = tmp_path / "bad.idx1-ubyte"
+    _write_idx_labels(bad, [7, 10, 9])  # 10 is not a class of K = 10
+    with pytest.raises(DataFormatError, match="out of range") as exc:
+        load_mnist(img_path, bad)
+    assert exc.value.path == bad
+
+
 # --------------------------------------------------------------------- CSV
 
 

@@ -284,6 +284,14 @@ def test_read_per_epoch_csv_errors(tmp_path):
         read_per_epoch_csv(bad_value)
 
 
+def test_summarize_from_csv_header_only(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(PER_EPOCH_COLUMNS + "\n")
+    with pytest.raises(DataFormatError, match="no data rows") as exc:
+        summarize_from_csv(path)
+    assert exc.value.line == 1
+
+
 # ------------------------------------------------------------------ summary
 
 
