@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .losses import KINDS, LossSpec, fr_sum_bounds, loss_sum_range_width
+from .noise import alpha_to_eta
 
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
 
@@ -85,18 +86,11 @@ def bounds(spec: LossSpec, num_classes: int, eta: float) -> BoundResult:
     )
 
 
-def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
-
-
 def _sweep_rows(specs: list[LossSpec], points) -> list[dict]:
     """One row per (alpha, K) point and spec, keyed by SWEEP_COLUMNS."""
     rows = []
     for alpha, k in points:
-        eta = alpha * (1.0 - 1.0 / k)
+        eta = alpha_to_eta(alpha, k)
         for spec in specs:
             values = (spec.kind, spec.q, k, alpha, eta, bound_A(spec, k, eta), bound_B(spec, k, eta))
             rows.append(dict(zip(SWEEP_COLUMNS, values)))
@@ -109,13 +103,12 @@ def alpha_sweep(specs: list[LossSpec], num_classes: int, alphas) -> list[dict]:
     Returns one row per (alpha, spec): dict with keys
     loss, q, K, alpha, eta, A, B (A/B are +/-inf for CE).
     """
-    return _sweep_rows(specs, ((_check_alpha(alpha), num_classes) for alpha in alphas))
+    return _sweep_rows(specs, ((float(alpha), num_classes) for alpha in alphas))
 
 
 def class_count_sweep(specs: list[LossSpec], alpha: float, class_counts) -> list[dict]:
     """Bound curves at fixed alpha over a grid of class counts K >= 2."""
-    alpha = _check_alpha(alpha)
-    return _sweep_rows(specs, ((alpha, int(k)) for k in class_counts))
+    return _sweep_rows(specs, ((float(alpha), int(k)) for k in class_counts))
 
 
 # Re-export for callers that build specs from strings at sweep time.

@@ -82,7 +82,7 @@ def cmd_train(args) -> int:
     print(f"wrote {os.path.join(out_dir, 'summary.csv')}")
     print(f"{'loss':<12} {'eta':>5} {'mean_test_acc':>14} {'std':>8} {'n':>3}")
     for row in summary:
-        label = row["loss"] if row["q"] is None else f"{row['loss']}:{row['q']:g}"
+        label = str(LossSpec(row["loss"], row["q"]))
         print(f"{label:<12} {row['eta']:>5g} {row['mean_test_acc']:>14.4f} {row['std_test_acc']:>8.4f} {row['n_seeds']:>3}")
     if args.svg:
         for eta in spec.etas:
@@ -114,7 +114,7 @@ def cmd_grid_lr(args) -> int:
     print(f"wrote {out}")
     for row in rows:
         if row["selected"]:
-            label = row["loss"] if row["q"] is None else f"{row['loss']}:{row['q']:g}"
+            label = str(LossSpec(row["loss"], row["q"]))
             print(f"best lr for loss={label} eta={row['eta']:g}: {row['lr']:g} (final_test_acc={row['final_test_acc']:.4f})")
     if any(row["final_test_acc"] < 0 for row in rows):
         print("warning: some grid runs diverged", file=sys.stderr)

@@ -262,25 +262,12 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     or rows raise DataFormatError with the offending line number.
     """
     with open(path, "r", encoding="ascii") as f:
-        header = f.readline()
-        if not header:
-            raise DataFormatError("empty file", path=path, line=1)
-        cols = header.rstrip("\n").split(",")
-        m = len(cols) - 1
-        if m < 1 or cols[-1] != "label" or cols[:-1] != [f"f{j}" for j in range(m)]:
-            raise DataFormatError(f"bad header {header.rstrip()!r}", path=path, line=1)
-        feats, labels = [], []
-        for lineno, raw in enumerate(f, start=2):
-            parts = raw.rstrip("\n").split(",")
-            if len(parts) != m + 1:
-                raise DataFormatError(f"expected {m + 1} fields, got {len(parts)}", path=path, line=lineno)
-            try:
-                feats.append([float(v) for v in parts[:-1]])
-                labels.append(int(parts[-1]))
-            except ValueError as exc:
-                raise DataFormatError(f"unparseable value ({exc})", path=path, line=lineno) from None
-    if not feats:
+        m = max(f.readline().count(","), 1)  # a header without a feature column fails read_rows' check
+    columns = [f"f{j}" for j in range(m)] + ["label"]
+    rows = read_rows(path, columns, lambda fields: ([float(v) for v in fields[:-1]], int(fields[-1])))
+    if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
+    feats, labels = zip(*rows)
     labels_arr = np.array(labels, dtype=np.int64)
     if labels_arr.min() < 0:
         raise DataFormatError("negative label", path=path, line=int(np.argmin(labels_arr)) + 2)

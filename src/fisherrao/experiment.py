@@ -12,7 +12,8 @@ epoch's accuracy is logged alongside.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -82,15 +83,28 @@ class ExperimentSpec:
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-_INT_KEYS = {"batch_size", "epochs", "grid_epochs", "n_train", "n_test", "features",
-             "classes", "data_seed", "train_limit"}
-_FLOAT_KEYS = {"lr", "class_sep"}
-_STR_KEYS = {"dataset", "out_dir", "lr_file", "train_images", "train_labels",
-             "test_images", "test_labels", "train_csv", "test_csv"}
+
+def _value_parser(tp):
+    """Text -> value for a field annotation: scalars, 'X | None', 'tuple[X, ...]'."""
+    args = [a for a in get_args(tp) if a is not type(None)]
+    if get_origin(tp) is tuple:
+        item = _value_parser(args[0])
+        return lambda text: tuple(item(tok) for tok in text.split(","))
+    tp = args[0] if args else tp
+    if tp is bool:
+        return lambda text: _BOOL[text.lower()]
+    return LossSpec.parse if tp is LossSpec else tp
+
+
+_PARSERS = {f.name: _value_parser(f.type) for f in fields(ExperimentSpec)}
+_REQUIRED = {f.name for f in fields(ExperimentSpec) if f.default is MISSING and f.default_factory is MISSING}
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Parse a flat 'key = value' config file ('#' starts a comment)."""
+    """Parse a flat 'key = value' config file ('#' starts a comment).
+
+    Each ExperimentSpec field is a key, parsed by its type; 'hidden = none' is ().
+    """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -102,30 +116,12 @@ def parse_config(path) -> ExperimentSpec:
             if not sep or not key or not val:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw.rstrip()!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key in _STR_KEYS:
-                    values[key] = val
-                elif key == "eval_every_epoch":
-                    values[key] = _BOOL[val.lower()]
-                elif key == "losses":
-                    values[key] = tuple(LossSpec.parse(tok) for tok in val.split(","))
-                elif key == "etas":
-                    values[key] = tuple(float(tok) for tok in val.split(","))
-                elif key == "seeds":
-                    values[key] = tuple(int(tok) for tok in val.split(","))
-                elif key == "hidden":
-                    values[key] = tuple(int(tok) for tok in val.split(",")) if val.lower() != "none" else ()
-                elif key == "lr_grid":
-                    values[key] = tuple(float(tok) for tok in val.split(","))
-                else:
+                if key not in _PARSERS:
                     raise ValueError(f"unknown key {key!r}")
+                values[key] = () if key == "hidden" and val.lower() == "none" else _PARSERS[key](val)
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    required = {"dataset", "losses", "etas", "seeds", "hidden", "batch_size", "epochs"}
-    missing = sorted(required - values.keys())
+    missing = sorted(_REQUIRED - values.keys())
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
     return ExperimentSpec(**values)
@@ -210,6 +206,23 @@ def run_cell(
     return RunResult(loss, eta, seed, lr, records=records, diverged=False)
 
 
+def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, tag, progress) -> list[RunResult]:
+    """Train each (eta_index, loss, seed, lr) cell in order, reporting progress."""
+    results = []
+    for eta_index, loss, seed, lr in cells:
+        eta = spec.etas[eta_index]
+        if progress is not None:
+            progress(f"{tag} loss={loss} eta={eta:g} seed={seed} lr={lr:g}")
+        result = run_cell(
+            train_ds, test_ds, loss, eta, eta_index, seed,
+            spec.hidden, spec.batch_size, epochs, lr, eval_every_epoch,
+        )
+        if progress is not None and result.diverged:
+            progress(f"  diverged at epoch {len(result.records) + 1}")
+        results.append(result)
+    return results
+
+
 def run_sweep(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
@@ -220,25 +233,16 @@ def run_sweep(
     """All (eta, loss, seed) cells in deterministic order.
 
     lr_for(loss, eta) supplies the learning rate per cell; default is the
-    spec's fixed lr (or the table loaded from spec.lr_file).
+    spec's fixed lr (or the table loaded from spec.lr_file).  Every rate is
+    looked up before the first cell trains, so a missing entry fails early.
     """
     if lr_for is None:
         lr_for = make_lr_lookup(spec)
-    results = []
-    for eta_index, eta in enumerate(spec.etas):
-        for loss in spec.losses:
-            for seed in spec.seeds:
-                lr = lr_for(loss, eta)
-                if progress is not None:
-                    progress(f"train loss={loss} eta={eta:g} seed={seed} lr={lr:g}")
-                result = run_cell(
-                    train_ds, test_ds, loss, eta, eta_index, seed,
-                    spec.hidden, spec.batch_size, spec.epochs, lr, spec.eval_every_epoch,
-                )
-                if progress is not None and result.diverged:
-                    progress(f"  diverged at epoch {len(result.records) + 1}")
-                results.append(result)
-    return results
+    cells = [
+        (eta_index, loss, seed, lr_for(loss, eta))
+        for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed in spec.seeds
+    ]
+    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, spec.eval_every_epoch, "train", progress)
 
 
 def make_lr_lookup(spec: ExperimentSpec):
@@ -273,27 +277,22 @@ def grid_search_lr(
     """
     if not spec.lr_grid:
         raise ValueError("config needs a nonempty lr_grid for grid search")
-    seed = spec.seeds[0]
     epochs = spec.grid_epochs if spec.grid_epochs is not None else spec.epochs
+    cells = [
+        (eta_index, loss, spec.seeds[0], lr)
+        for eta_index in range(len(spec.etas)) for loss in spec.losses for lr in spec.lr_grid
+    ]
+    results = _train_cells(train_ds, test_ds, spec, cells, epochs, False, "grid", progress)
     rows = []
-    for eta_index, eta in enumerate(spec.etas):
-        for loss in spec.losses:
-            accs = []
-            for lr in spec.lr_grid:
-                if progress is not None:
-                    progress(f"grid loss={loss} eta={eta:g} lr={lr:g}")
-                result = run_cell(
-                    train_ds, test_ds, loss, eta, eta_index, seed,
-                    spec.hidden, spec.batch_size, epochs, lr, eval_every_epoch=False,
-                )
-                acc = result.final_test_acc if not result.diverged else None
-                accs.append(-1.0 if acc is None else acc)
-            best = int(np.argmax(accs))  # first max -> smallest lr on ties
-            for i, (lr, acc) in enumerate(zip(spec.lr_grid, accs)):
-                rows.append({
-                    "loss": loss.kind, "q": loss.q, "eta": eta, "lr": lr,
-                    "final_test_acc": acc, "selected": int(i == best),
-                })
+    for start in range(0, len(results), len(spec.lr_grid)):
+        group = results[start : start + len(spec.lr_grid)]
+        accs = [-1.0 if r.diverged or r.final_test_acc is None else r.final_test_acc for r in group]
+        best = int(np.argmax(accs))  # first max -> smallest lr on ties
+        for i, (r, acc) in enumerate(zip(group, accs)):
+            rows.append({
+                "loss": r.loss.kind, "q": r.loss.q, "eta": r.eta, "lr": r.lr,
+                "final_test_acc": acc, "selected": int(i == best),
+            })
     return rows
 
 

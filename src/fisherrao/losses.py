@@ -91,7 +91,8 @@ class _Kind(NamedTuple):
 _KIND_TABLE = {
     "mae": _Kind(lambda t, q: 1.0 - t, lambda t, q: np.ones_like(t), lambda k, q: 0.0),
     "ce": _Kind(lambda t, q: -np.log(_clamp(t)), lambda t, q: 1.0 / t, lambda k, q: None),
-    "qce": _Kind(lambda t, q: -q_logarithm(_clamp(t), q), lambda t, q: t ** (-q), _qce_width),
+    # q = 0 is MAE exactly: the unclamped 1 - t, as _qce_width gives it MAE's width
+    "qce": _Kind(lambda t, q: 1.0 - t if q == 0.0 else -q_logarithm(_clamp(t), q), lambda t, q: t ** (-q), _qce_width),
     "fr": _Kind(_fr_h, _fr_h_prime_abs, _fr_width),
     "hellinger": _Kind(
         lambda t, q: 2.0 * (1.0 - np.sqrt(_clamp(t))),

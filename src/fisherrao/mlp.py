@@ -76,7 +76,12 @@ class TrainRecord:
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss or gradient encountered; carries progress so far."""
+    """Training hit non-finite scores or parameters; carries progress so far.
+
+    Raised by batch_grad on non-finite scores and by train on non-finite
+    parameters at the end of an epoch; ``epoch`` is the epoch that failed
+    and ``records`` the epochs completed before it.
+    """
 
     def __init__(self, message: str, epoch: int, records: list[TrainRecord]):
         super().__init__(message)
@@ -116,7 +121,9 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     """Backprop on one batch.
 
     Returns (weight gradients, bias gradients, mean batch loss); gradients
-    are means over the batch.  Raises TrainingDiverged on non-finite values.
+    are means over the batch.  Raises TrainingDiverged on non-finite scores,
+    which softmax would reject.  Finite scores give a finite loss; the
+    gradients are left to train's end-of-epoch parameter check.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -140,8 +147,6 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
         if layer > 0:
             # max(z, 0) > 0 exactly where z > 0: the ReLU mask
             delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
-    if not all(np.all(np.isfinite(g)) for g in grad_w):
-        raise TrainingDiverged("non-finite gradient", epoch=0, records=[])
     return grad_w, grad_b, mean_loss
 
 
@@ -170,6 +175,11 @@ def train(
     Each epoch draws a fresh seeded permutation, walks it in batch_size
     slices (final partial batch included), and applies w <- w - lr * grad.
     Divergence raises TrainingDiverged with the completed epochs attached.
+    It is detected in two places: batch_grad's check on the scores, and a
+    check of every parameter at the end of each epoch.  The second catches
+    a bad gradient in the epoch it appears: if g holds an inf or nan,
+    lr * g is inf or nan when lr > 0 and nan when lr = 0, so w - lr * g is
+    not finite either, and a parameter that is not finite stays so.
     """
     m = train_ds.num_features
     if config.layer_sizes[0] != m or config.layer_sizes[-1] != train_ds.num_classes:
@@ -188,8 +198,6 @@ def train(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 gw, gb, batch_loss = batch_grad(model, train_ds.features[idx], train_ds.labels[idx], config.loss)
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged("non-finite batch loss", epoch=epoch, records=records)
                 loss_sum += batch_loss * idx.size
                 for w, g in zip(model.weights, gw):
                     w -= config.learning_rate * g

@@ -230,6 +230,21 @@ def test_run_sweep_order_and_determinism():
         ]
 
 
+def test_run_sweep_missing_lr_entry_fails_before_training(tmp_path):
+    # the table covers eta 0.0 only, so the last eta has no rate
+    rows = [
+        {"loss": kind, "q": None, "eta": 0.0, "lr": 0.1, "final_test_acc": 0.9, "selected": 1}
+        for kind in ("ce", "fr")
+    ]
+    path = tmp_path / "lr.csv"
+    write_lr_table_csv(path, rows)
+    train_ds, test_ds = _blobs()
+    messages = []
+    with pytest.raises(ValueError, match="no learning rate for loss=ce eta=0.4"):
+        run_sweep(train_ds, test_ds, _tiny_spec(lr=None, lr_file=str(path)), progress=messages.append)
+    assert messages == []
+
+
 # -------------------------------------------------------------------- CSVs
 
 

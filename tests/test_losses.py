@@ -115,7 +115,8 @@ def test_h_form_losses_depend_only_on_true_class_prob():
 # --------------------------------------------------------------- reductions
 
 def test_qce_reduces_to_mae_hellinger_ce():
-    t = np.linspace(1e-6, 1.0, 2001)
+    # 0 and 1e-15 lie below CLAMP_EPS, where q = 0 must still be MAE exactly
+    t = np.concatenate([[0.0, 1e-15], np.linspace(1e-6, 1.0, 2001)])
     probs = np.stack([t, 1.0 - t], axis=1)
     y = np.zeros(t.size, dtype=np.int64)
     mae = loss_values(MAE, probs, y)
@@ -127,6 +128,8 @@ def test_qce_reduces_to_mae_hellinger_ce():
     ce = loss_values(CE, probs, y)
     q_near1 = loss_values(qce(1.0 - 1e-9), probs, y)
     npt.assert_allclose(q_near1, ce, rtol=0, atol=1e-6)
+    # at a vertex the q = 0 loss sum is MAE's K - 1, matching its bound width 0
+    assert loss_sum_over_classes(qce(0.0), np.eye(10)[0]) == 9.0
 
 
 def test_inequality_chain_on_grid():

@@ -271,7 +271,7 @@ def test_train_records_shape_and_determinism():
     assert [r.epoch for r in r1] == [1, 2, 3, 4]
 
 
-def test_train_divergence_raises_with_partial_records():
+def _diverging_fixture(batch_size):
     # softmax saturation bounds the score gradient, and an oversized step
     # kills every ReLU (weights and biases land hugely negative), so
     # merely-too-large rates plateau instead of diverging.  The reliable
@@ -282,10 +282,38 @@ def test_train_divergence_raises_with_partial_records():
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])
     labels = np.array([0, 1, 0, 1])
     ds = LabeledDataset(feats, labels, 2)
-    cfg = MlpConfig((2, 2), CE, 1e120, 4, 3, seed=2)
-    model = init_model(cfg)
+    cfg = MlpConfig((2, 2), CE, 1e120, batch_size, 3, seed=2)
+    return init_model(cfg), ds, cfg
+
+
+def test_train_divergence_raises_with_partial_records():
+    # one full-batch step per epoch: the epoch-end parameter check catches it
+    model, ds, cfg = _diverging_fixture(4)
     with pytest.raises(TrainingDiverged) as exc, np.errstate(over="ignore", invalid="ignore"):
         train(model, ds, None, cfg)
+    assert exc.value.epoch == 1
+    assert exc.value.records == []
+
+
+def test_train_divergence_caught_by_next_step_scores_check():
+    # two steps per epoch: the second step's scores check catches it
+    model, ds, cfg = _diverging_fixture(2)
+    with pytest.raises(TrainingDiverged) as exc, np.errstate(over="ignore", invalid="ignore"):
+        train(model, ds, None, cfg)
+    assert exc.value.epoch == 1
+    assert exc.value.records == []
+
+
+def test_train_divergence_hidden_behind_relu_caught_at_epoch_end():
+    # x > 0 and a -inf input weight drive hidden unit 0 to -inf, which ReLU
+    # zeroes: scores, loss and gradients stay finite, so only the check of
+    # the parameters at the end of the epoch sees the bad weight.
+    train_ds = LabeledDataset(np.arange(1.0, 13.0).reshape(6, 2), np.array([0, 1] * 3), 2)
+    cfg = MlpConfig((2, 3, 2), CE, 0.1, 2, 3, seed=0)
+    model = init_model(cfg)
+    model.weights[0][0, 0] = -np.inf
+    with pytest.raises(TrainingDiverged) as exc:
+        train(model, train_ds, None, cfg)
     assert exc.value.epoch == 1
     assert exc.value.records == []
 
