@@ -104,8 +104,14 @@ class LabeledDataset:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError(f"labels out of range [0, {self.num_classes})")
-        feats.flags.writeable = False
-        labels.flags.writeable = False
+        # Freeze a view, never the caller's array; an array already frozen is
+        # kept as is, so with_labels shares its features object.
+        if feats.flags.writeable:
+            feats = feats.view()
+            feats.flags.writeable = False
+        if labels.flags.writeable:
+            labels = labels.view()
+            labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .data import (DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, load_mnist,
                    read_rows, write_rows)
 from .losses import LossSpec
-from .mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train
+from .mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
 from .noise import NoiseSpec, corrupt_labels
 from .rng import derive_seed
 
@@ -173,6 +173,16 @@ class RunResult:
         return max(accs) if accs else None
 
 
+# Upper bound on the stacked parameters of one lockstep group: 21 members of
+# the 100-80-40-20-10 net, one of the 784-300-100-10 net.
+GROUP_PARAM_BYTES = 2 * 1024 * 1024
+
+
+def _noisy_train_set(train_ds: LabeledDataset, eta: float, eta_index: int, seed: int) -> LabeledDataset:
+    noise = NoiseSpec(eta, derive_seed(seed, eta_index), train_ds.num_classes)
+    return train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
+
+
 def run_cell(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
@@ -187,39 +197,51 @@ def run_cell(
     eval_every_epoch: bool = True,
 ) -> RunResult:
     """Corrupt a fresh copy of the training labels, train one model, record."""
-    k = train_ds.num_classes
-    noise = NoiseSpec(eta, derive_seed(seed, eta_index), k)
-    noisy_ds = train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
-    config = MlpConfig(
-        layer_sizes=(train_ds.num_features, *hidden, k),
-        loss=loss,
-        learning_rate=lr,
-        batch_size=batch_size,
-        epochs=epochs,
-        seed=seed,
-    )
-    model = init_model(config)
+    noisy_ds = _noisy_train_set(train_ds, eta, eta_index, seed)
+    config = MlpConfig((train_ds.num_features, *hidden, train_ds.num_classes), loss, lr, batch_size, epochs, seed)
     try:
-        records = train(model, noisy_ds, test_ds, config, eval_test_every_epoch=eval_every_epoch)
+        records = train(init_model(config), noisy_ds, test_ds, config, eval_test_every_epoch=eval_every_epoch)
     except TrainingDiverged as exc:
         return RunResult(loss, eta, seed, lr, records=exc.records, diverged=True)
-    return RunResult(loss, eta, seed, lr, records=records, diverged=False)
+    return RunResult(loss, eta, seed, lr, records=records)
+
+
+def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
+    """Near-equal group sizes whose stacked parameters fit in GROUP_PARAM_BYTES."""
+    member_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+    n_groups = -(-n_cells // max(1, GROUP_PARAM_BYTES // member_bytes))
+    base, extra = divmod(n_cells, n_groups)
+    return [base + 1] * extra + [base] * (n_groups - extra)
 
 
 def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, tag, progress) -> list[RunResult]:
-    """Train each (eta_index, loss, seed, lr) cell in order, reporting progress."""
-    results = []
-    for eta_index, loss, seed, lr in cells:
-        eta = spec.etas[eta_index]
+    """Train (eta_index, loss, seed, lr) cells in lockstep groups; results in cell order.
+
+    Every cell's noisy labels are built before the first group trains, so an
+    out-of-range eta fails early; each (eta, seed) label set is corrupted once
+    and shared by every loss.  A group's progress lines are written when it
+    starts, its divergence lines when it ends.
+    """
+    noisy = {}
+    for eta_index, _, seed, _ in cells:
+        if (eta_index, seed) not in noisy:
+            noisy[eta_index, seed] = _noisy_train_set(train_ds, spec.etas[eta_index], eta_index, seed)
+    layer_sizes = (train_ds.num_features, *spec.hidden, train_ds.num_classes)
+    results: list[RunResult] = []
+    for size in _group_sizes(len(cells), layer_sizes):
+        group = cells[len(results) : len(results) + size]
+        lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}" for i, loss, seed, lr in group]
         if progress is not None:
-            progress(f"{tag} loss={loss} eta={eta:g} seed={seed} lr={lr:g}")
-        result = run_cell(
-            train_ds, test_ds, loss, eta, eta_index, seed,
-            spec.hidden, spec.batch_size, epochs, lr, eval_every_epoch,
-        )
-        if progress is not None and result.diverged:
-            progress(f"  diverged at epoch {len(result.records) + 1}")
-        results.append(result)
+            for line in lines:
+                progress(line)
+        configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, loss, seed, lr in group]
+        outcomes = train_lockstep([init_model(c) for c in configs], [noisy[i, seed] for i, _, seed, _ in group],
+                                  test_ds, configs, eval_every_epoch)
+        for (i, loss, seed, lr), line, out in zip(group, lines, outcomes):
+            diverged = isinstance(out, TrainingDiverged)
+            results.append(RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged))
+            if diverged and progress is not None:
+                progress(f"  diverged at epoch {len(out.records) + 1}: {line}")
     return results
 
 

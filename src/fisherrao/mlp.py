@@ -4,7 +4,10 @@ The network maps features to raw class scores; softmax lives in the loss
 layer, not in the model.  Everything is float64 and deterministic given the
 config seed: weights are fan-in-uniform, biases start at zero, the epoch
 shuffle comes from a dedicated stream, and batch gradients are averaged with
-a fixed summation order (one GEMM per layer).
+a fixed summation order (one GEMM per layer).  train_lockstep steps many
+models together on stacked parameters; a stacked matmul computes each
+member's product exactly as a matmul of that member alone, so a model trains
+to the same bits whatever it is grouped with.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,11 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    """Per-layer weights (fan_in, fan_out) and biases (fan_out,)."""
+    """Per-layer weights (fan_in, fan_out) and biases (fan_out,).
+
+    Inside train_lockstep a model of R members stacks them as
+    (R, fan_in, fan_out) and (R, fan_out).
+    """
 
     weights: list[NDArray[np.float64]]
     biases: list[NDArray[np.float64]]
@@ -79,8 +86,9 @@ class TrainingDiverged(RuntimeError):
     """Training hit non-finite scores or parameters; carries progress so far.
 
     Raised by batch_grad on non-finite scores and by train on non-finite
-    parameters at the end of an epoch; ``epoch`` is the epoch that failed
-    and ``records`` the epochs completed before it.
+    scores in a step or parameters at the end of an epoch; train_lockstep
+    returns one per diverged member.  ``epoch`` is the epoch that failed and
+    ``records`` the epochs completed before it.
     """
 
     def __init__(self, message: str, epoch: int, records: list[TrainRecord]):
@@ -101,12 +109,61 @@ def init_model(config: MlpConfig) -> MlpModel:
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """[x, hidden ReLU activations..., scores] for a batch x of shape (n, m)."""
+    """[x, hidden ReLU activations..., scores] for x of shape (n, m), or (R, n, m) for a stacked model."""
     acts = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1])
+        acts.append(np.maximum(acts[-1] @ w + b[..., None, :], 0.0))
+    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1][..., None, :])
     return acts
+
+
+def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
+    """Yield (layer, weight gradient, bias gradient) from the last layer down.
+
+    delta is d loss / d scores.  A layer is yielded only after the delta for
+    the layer below has been computed from its weights, so the caller may
+    update that layer in place before resuming.
+    """
+    for layer in range(len(model.weights) - 1, -1, -1):
+        gw = np.swapaxes(acts[layer], -1, -2) @ delta
+        gb = delta.sum(axis=-2)
+        if layer > 0:
+            # max(z, 0) > 0 exactly where z > 0: the ReLU mask
+            delta = (delta @ np.swapaxes(model.weights[layer], -1, -2)) * (acts[layer] > 0.0)
+        yield layer, gw, gb
+
+
+def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Mean batch loss (R,) and its score gradient (R, n, K) for stacked scores (R, n, K).
+
+    groups holds (LossSpec, members) pairs, members indexing the R axis; the
+    loss functions run once per group on its members' rows.
+    """
+    r, n, k = scores.shape
+    probs = softmax(scores)
+    mean_loss = np.empty(r)
+    delta = np.empty_like(probs)
+    for spec, members in groups:
+        p = probs[members].reshape(-1, k)
+        y = labels[members].reshape(-1)
+        mean_loss[members] = loss_values(spec, p, y).reshape(-1, n).mean(axis=1)
+        delta[members] = score_gradients(spec, p, y).reshape(-1, n, k) / n
+    return mean_loss, delta
+
+
+def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, list[int]]]:
+    """(spec, member positions) per distinct loss, in first-seen order."""
+    positions: dict[LossSpec, list[int]] = {}
+    for pos, spec in enumerate(specs):
+        positions.setdefault(spec, []).append(pos)
+    return list(positions.items())
+
+
+def _bind(models: list[MlpModel], live: np.ndarray, stack: MlpModel) -> None:
+    """Point each live member's model at its slices of the stacked parameters."""
+    for pos, i in enumerate(live):
+        models[i].weights[:] = [w[pos] for w in stack.weights]
+        models[i].biases[:] = [b[pos] for b in stack.biases]
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -123,31 +180,23 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     Returns (weight gradients, bias gradients, mean batch loss); gradients
     are means over the batch.  Raises TrainingDiverged on non-finite scores,
     which softmax would reject.  Finite scores give a finite loss; the
-    gradients are left to train's end-of-epoch parameter check.
+    gradients are left to train's end-of-epoch parameter check.  This is the
+    one-member case of the step train_lockstep takes.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise ValueError("empty batch")
-
-    acts = _forward(model, x)  # acts[layer] is the input to that layer
-    scores = acts[-1]
-    if not np.all(np.isfinite(scores)):
+    stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
+    acts = _forward(stack, x[None])
+    if not np.all(np.isfinite(acts[-1])):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    probs = softmax(scores)
-    mean_loss = float(loss_values(spec, probs, y).mean())
-
-    delta = score_gradients(spec, probs, y) / n
+    mean_loss, delta = _loss_layer(acts[-1], y[None], [(spec, [0])])
     grad_w = [np.empty(0)] * len(model.weights)
     grad_b = [np.empty(0)] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            # max(z, 0) > 0 exactly where z > 0: the ReLU mask
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
-    return grad_w, grad_b, mean_loss
+    for layer, gw, gb in _backward(stack, acts, delta):
+        grad_w[layer], grad_b[layer] = gw[0], gb[0]
+    return grad_w, grad_b, float(mean_loss[0])
 
 
 def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> tuple[float, float]:
@@ -163,6 +212,108 @@ def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2
     return correct / len(ds), loss_total / len(ds)
 
 
+def train_lockstep(
+    models: list[MlpModel],
+    train_sets: list[LabeledDataset],
+    test_ds: LabeledDataset | None,
+    configs: list[MlpConfig],
+    eval_test_every_epoch: bool = True,
+) -> list:
+    """Mini-batch SGD on R models at once; per member, its TrainRecords or its TrainingDiverged.
+
+    Member i trains models[i] on train_sets[i] under configs[i] exactly as it
+    would alone: own init, shuffle stream, labels, loss and learning rate.
+    The members share the feature matrix (datasets made by with_labels), the
+    layer sizes, batch size and epoch count.  Their parameters are stacked,
+    so each layer takes one matmul forward and one backward, and the loss
+    layer runs once per distinct loss; each model's arrays become views of
+    the stack, so they hold the trained values on return.
+
+    Each epoch draws a fresh seeded permutation per member, walks it in
+    batch_size slices (final partial batch included) and applies
+    w <- w - lr * grad.  A member diverges when its scores are not finite
+    (checked every step, before the softmax) or its parameters are not
+    finite at the end of an epoch.  The second check catches a bad gradient
+    in the epoch it appears: if g holds an inf or nan, lr * g is inf or nan
+    when lr > 0 and nan when lr = 0, so w - lr * g is not finite either, and
+    a parameter that is not finite stays so.  A diverged member gets a
+    TrainingDiverged with that epoch and its completed records and leaves
+    the group; the others go on unchanged to the bit.
+    """
+    if not models or not len(models) == len(train_sets) == len(configs):
+        raise ValueError("need one train set and one config per model, and at least one model")
+    features = train_sets[0].features
+    shared = (configs[0].layer_sizes, configs[0].batch_size, configs[0].epochs)
+    for ds, c in zip(train_sets, configs):
+        if c.layer_sizes[0] != ds.num_features or c.layer_sizes[-1] != ds.num_classes:
+            raise ValueError(
+                f"config layers {c.layer_sizes} do not match data (m={ds.num_features}, K={ds.num_classes})"
+            )
+        if (c.layer_sizes, c.batch_size, c.epochs) != shared or ds.features is not features:
+            raise ValueError("lockstep members must share layer_sizes, batch_size, epochs and the feature matrix")
+    if test_ds is not None and test_ds.num_features != features.shape[1]:
+        raise ValueError("train and test feature dimensions differ")
+    n, (_, batch_size, epochs) = len(features), shared
+    outcomes: list = [[] for _ in models]
+    live = np.arange(len(models))  # position in the stack -> member index
+    stack = MlpModel([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                     [np.stack(bs) for bs in zip(*(m.biases for m in models))])
+    _bind(models, live, stack)
+    lr = np.array([c.learning_rate for c in configs])
+    shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
+    groups = _loss_groups([c.loss for c in configs])
+
+    def drop(bad: np.ndarray, epoch: int, message: str) -> np.ndarray:
+        """Record the bad members as diverged and remove them from the stack; returns the keep mask."""
+        nonlocal live, stack, lr, groups
+        for i in live[bad]:
+            models[i].weights[:] = [w.copy() for w in models[i].weights]
+            models[i].biases[:] = [b.copy() for b in models[i].biases]
+            outcomes[i] = TrainingDiverged(message, epoch=epoch, records=outcomes[i])
+        keep = ~bad
+        live, lr = live[keep], lr[keep]
+        stack = MlpModel([w[keep] for w in stack.weights], [b[keep] for b in stack.biases])
+        shuffles[:] = [rng for rng, k in zip(shuffles, keep) if k]
+        _bind(models, live, stack)
+        groups = _loss_groups([configs[i].loss for i in live])
+        return keep
+
+    for epoch in range(1, epochs + 1):
+        orders = np.stack([rng.permutation(n) for rng in shuffles])
+        epoch_labels = np.stack([train_sets[i].labels[order] for i, order in zip(live, orders)])
+        loss_sum = np.zeros(live.size)
+        for start in range(0, n, batch_size):
+            idx = orders[:, start : start + batch_size]
+            acts = _forward(stack, features[idx])
+            if not np.all(np.isfinite(acts[-1])):
+                keep = drop(~np.isfinite(acts[-1]).all(axis=(1, 2)), epoch, "non-finite scores in forward pass")
+                if not live.size:
+                    return outcomes
+                acts = [a[keep] for a in acts]
+                orders, epoch_labels, loss_sum = orders[keep], epoch_labels[keep], loss_sum[keep]
+            mean_loss, delta = _loss_layer(acts[-1], epoch_labels[:, start : start + batch_size], groups)
+            loss_sum += mean_loss * idx.shape[1]
+            lr_w = lr[:, None, None]
+            for layer, gw, gb in _backward(stack, acts, delta):
+                stack.weights[layer] -= np.multiply(gw, lr_w, out=gw)
+                stack.biases[layer] -= np.multiply(gb, lr_w[:, 0], out=gb)
+        del acts, delta, gw, gb  # the last step's temporaries, before evaluation allocates its own
+        finite = np.ones(live.size, dtype=bool)
+        for a in (*stack.weights, *stack.biases):
+            finite &= np.isfinite(a).reshape(live.size, -1).all(axis=1)
+        if not finite.all():
+            loss_sum = loss_sum[drop(~finite, epoch, "non-finite parameters after update")]
+            if not live.size:
+                return outcomes
+        for pos, i in enumerate(live):
+            train_acc, _ = evaluate(models[i], train_sets[i], configs[i].loss)
+            test_acc = None
+            if test_ds is not None and (eval_test_every_epoch or epoch == epochs):
+                test_acc, _ = evaluate(models[i], test_ds, configs[i].loss)
+            outcomes[i].append(TrainRecord(epoch, float(loss_sum[pos]) / n, train_acc, test_acc))
+    return outcomes
+
+
 def train(
     model: MlpModel,
     train_ds: LabeledDataset,
@@ -172,47 +323,14 @@ def train(
 ) -> list[TrainRecord]:
     """Mini-batch SGD; one TrainRecord per epoch.
 
-    Each epoch draws a fresh seeded permutation, walks it in batch_size
-    slices (final partial batch included), and applies w <- w - lr * grad.
-    Divergence raises TrainingDiverged with the completed epochs attached.
-    It is detected in two places: batch_grad's check on the scores, and a
-    check of every parameter at the end of each epoch.  The second catches
-    a bad gradient in the epoch it appears: if g holds an inf or nan,
-    lr * g is inf or nan when lr > 0 and nan when lr = 0, so w - lr * g is
-    not finite either, and a parameter that is not finite stays so.
+    The one-member case of train_lockstep, which states the schedule and
+    the divergence rule.  Divergence raises TrainingDiverged with the
+    completed epochs attached.
     """
-    m = train_ds.num_features
-    if config.layer_sizes[0] != m or config.layer_sizes[-1] != train_ds.num_classes:
-        raise ValueError(
-            f"config layers {config.layer_sizes} do not match data (m={m}, K={train_ds.num_classes})"
-        )
-    if test_ds is not None and test_ds.num_features != m:
-        raise ValueError("train and test feature dimensions differ")
-    shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE)
-    records: list[TrainRecord] = []
-    n = len(train_ds)
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                gw, gb, batch_loss = batch_grad(model, train_ds.features[idx], train_ds.labels[idx], config.loss)
-                loss_sum += batch_loss * idx.size
-                for w, g in zip(model.weights, gw):
-                    w -= config.learning_rate * g
-                for b, g in zip(model.biases, gb):
-                    b -= config.learning_rate * g
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(str(exc), epoch=epoch, records=records) from None
-        if not all(np.all(np.isfinite(a)) for a in (*model.weights, *model.biases)):
-            raise TrainingDiverged("non-finite parameters after update", epoch=epoch, records=records)
-        train_acc, _ = evaluate(model, train_ds, config.loss)
-        test_acc = None
-        if test_ds is not None and (eval_test_every_epoch or epoch == config.epochs):
-            test_acc, _ = evaluate(model, test_ds, config.loss)
-        records.append(TrainRecord(epoch, loss_sum / n, train_acc, test_acc))
-    return records
+    (outcome,) = train_lockstep([model], [train_ds], test_ds, [config], eval_test_every_epoch)
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
 
 def save_model(model: MlpModel, path) -> None:

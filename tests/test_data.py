@@ -30,6 +30,16 @@ def test_dataset_validation_and_immutability():
         LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 1)
 
 
+def test_dataset_leaves_callers_arrays_writeable():
+    feats, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+    ds = LabeledDataset(feats, labels, 2)
+    assert feats.flags.writeable and labels.flags.writeable
+    assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+    feats[0, 0] = 1.0  # the caller's array stays theirs to change
+    # a frozen array is kept as is, so relabeled sets share one feature matrix
+    assert ds.with_labels([1, 1, 0]).features is ds.features
+
+
 def test_with_labels_and_take():
     ds = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
     relabeled = ds.with_labels([1, 1, 1, 1])

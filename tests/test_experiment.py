@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fisherrao import experiment
 from fisherrao.data import DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, save_csv
 from fisherrao.experiment import (
     PER_EPOCH_COLUMNS,
@@ -23,6 +24,7 @@ from fisherrao.experiment import (
     write_lr_table_csv,
     write_per_epoch_csv,
     write_summary_csv,
+    _group_sizes,
 )
 from fisherrao.losses import CE, FR, MAE, LossSpec, qce
 from fisherrao.mlp import MlpConfig, TrainRecord, init_model, train
@@ -243,6 +245,46 @@ def test_run_sweep_missing_lr_entry_fails_before_training(tmp_path):
     with pytest.raises(ValueError, match="no learning rate for loss=ce eta=0.4"):
         run_sweep(train_ds, test_ds, _tiny_spec(lr=None, lr_file=str(path)), progress=messages.append)
     assert messages == []
+
+
+def test_run_sweep_out_of_range_eta_fails_before_training():
+    # with K = 2 every eta must lie below 1/2: the 0.95 cells cannot run
+    train_ds, test_ds = _blobs()
+    messages = []
+    with pytest.raises(ValueError, match="eta must lie in"):
+        run_sweep(train_ds, test_ds, _tiny_spec(etas=(0.0, 0.95)), progress=messages.append)
+    assert messages == []
+
+
+def test_group_sizes_fit_the_parameter_budget():
+    assert _group_sizes(40, (100, 80, 40, 20, 10)) == [20, 20]  # at most 21 of this net per group
+    assert _group_sizes(24, (100, 80, 40, 20, 10)) == [12, 12]
+    assert _group_sizes(4, (784, 300, 100, 10)) == [1, 1, 1, 1]  # over budget alone: one per group
+    assert _group_sizes(5, (2, 4, 2)) == [5]
+
+
+def test_run_sweep_results_do_not_depend_on_grouping(monkeypatch):
+    train_ds, test_ds = _blobs()
+    spec = _tiny_spec(losses=(CE, FR, MAE), seeds=(0, 1, 2))
+    grouped = run_sweep(train_ds, test_ds, spec)
+    monkeypatch.setattr(experiment, "GROUP_PARAM_BYTES", 1)  # one cell per group
+    assert run_sweep(train_ds, test_ds, spec) == grouped
+
+
+def test_run_sweep_reports_divergence_after_its_group():
+    a = 1e200
+    ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)
+    spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2, 3), hidden=(), batch_size=4, lr=1e120)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_sweep(ds, ds, spec, progress=messages.append)
+    assert [r.diverged for r in results] == [True, True]
+    assert messages == [
+        "train loss=ce eta=0 seed=2 lr=1e+120",
+        "train loss=ce eta=0 seed=3 lr=1e+120",
+        "  diverged at epoch 1: train loss=ce eta=0 seed=2 lr=1e+120",
+        "  diverged at epoch 1: train loss=ce eta=0 seed=3 lr=1e+120",
+    ]
 
 
 # -------------------------------------------------------------------- CSVs

@@ -3,11 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from fisherrao.data import LabeledDataset, SyntheticSpec, generate_synthetic
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_values, qce
+from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_values, qce, score_gradients
 from fisherrao.mlp import (
     MlpConfig,
     MlpModel,
     TrainingDiverged,
+    TrainRecord,
     batch_grad,
     evaluate,
     forward,
@@ -15,8 +16,10 @@ from fisherrao.mlp import (
     load_model,
     save_model,
     train,
+    train_lockstep,
 )
-from fisherrao.rng import make_rng
+from fisherrao.noise import NoiseSpec, corrupt_labels
+from fisherrao.rng import STREAM_SHUFFLE, make_rng
 from fisherrao.simplex import softmax
 
 ALL_KINDS = [MSE, MAE, CE, qce(0.7), FR, HELLINGER]
@@ -422,3 +425,137 @@ def test_bias_shift_leaves_training_dynamics_unchanged():
     )
     for w_s, w_b in zip(shifted_model.weights, base_model.weights):
         npt.assert_allclose(w_s, w_b, rtol=0, atol=1e-9)
+
+
+# ------------------------------------------------------------- lockstep
+
+
+def _reference_train(model, train_ds, test_ds, config, eval_test_every_epoch=True):
+    """The per-cell SGD loop that train_lockstep replaced, kept as its reference."""
+    shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE)
+    records = []
+    n = len(train_ds)
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            x, y = train_ds.features[idx], train_ds.labels[idx]
+            acts = [x]
+            for w, b in zip(model.weights[:-1], model.biases[:-1]):
+                acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+            scores = acts[-1] @ model.weights[-1] + model.biases[-1]
+            if not np.all(np.isfinite(scores)):
+                raise TrainingDiverged("non-finite scores in forward pass", epoch=epoch, records=records)
+            probs = softmax(scores)
+            loss_sum += float(loss_values(config.loss, probs, y).mean()) * idx.size
+            delta = score_gradients(config.loss, probs, y) / idx.size
+            grads = []
+            for layer in range(len(model.weights) - 1, -1, -1):
+                grads.append((layer, acts[layer].T @ delta, delta.sum(axis=0)))
+                if layer > 0:
+                    delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+            for layer, gw, gb in grads:
+                model.weights[layer] -= config.learning_rate * gw
+                model.biases[layer] -= config.learning_rate * gb
+        if not all(np.all(np.isfinite(a)) for a in (*model.weights, *model.biases)):
+            raise TrainingDiverged("non-finite parameters after update", epoch=epoch, records=records)
+        train_acc, _ = evaluate(model, train_ds, config.loss)
+        test_acc = None
+        if test_ds is not None and (eval_test_every_epoch or epoch == config.epochs):
+            test_acc, _ = evaluate(model, test_ds, config.loss)
+        records.append(TrainRecord(epoch, loss_sum / n, train_acc, test_acc))
+    return records
+
+
+def _solo(model, train_ds, test_ds, config, eval_test_every_epoch=True, trainer=train):
+    """A copy of model trained alone: (records or TrainingDiverged, trained model)."""
+    model = MlpModel([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+    try:
+        return trainer(model, train_ds, test_ds, config, eval_test_every_epoch), model
+    except TrainingDiverged as exc:
+        return exc, model
+
+
+def _assert_same_params(a, b):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        npt.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("layer_sizes,batch", [((100, 80, 40, 20, 10), 20), ((784, 300, 100, 10), 64)])
+@pytest.mark.parametrize("r", [1, 3, 20])
+def test_stacked_matmul_equals_per_member_matmul(layer_sizes, batch, r):
+    # the lockstep trainer relies on this: a stacked matmul computes each
+    # member's product exactly as the member's own 2-D matmul would
+    rng = make_rng(50, r)
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for rows in (batch, 7, 1):  # a full batch and partial final ones
+            a = rng.normal(size=(r, rows, fan_in))
+            w = rng.normal(size=(r, fan_in, fan_out))
+            delta = rng.normal(size=(r, rows, fan_out))
+            forward_ = a @ w
+            weight_grad = a.transpose(0, 2, 1) @ delta
+            input_grad = delta @ w.transpose(0, 2, 1)
+            for m in range(r):
+                assert np.array_equal(forward_[m], a[m] @ w[m])
+                assert np.array_equal(weight_grad[m], a[m].T @ delta[m])
+                assert np.array_equal(input_grad[m], delta[m] @ w[m].T)
+
+
+def test_lockstep_group_matches_reference_loop():
+    # six losses, two learning rates, two etas, 50 samples in batches of 7
+    # (a final batch of 1), test accuracy only at the last epoch
+    train_ds, test_ds = generate_synthetic(SyntheticSpec(50, 30, 5, 3, 1.0, seed=4))
+    members = []
+    for i, spec in enumerate(ALL_KINDS):
+        for j, (lr, eta) in enumerate(((0.05, 0.0), (0.3, 0.4))):
+            noise = NoiseSpec(eta, 10 * i + j, 3)
+            ds = train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
+            config = MlpConfig((5, 6, 4, 3), spec, lr, 7, 3, seed=i + 10 * j)
+            members.append((init_model(config), ds, config))
+    expected = [_solo(m, ds, test_ds, cfg, False, _reference_train) for m, ds, cfg in members]
+    models, sets, configs = (list(col) for col in zip(*members))
+    outcomes = train_lockstep(models, sets, test_ds, configs, eval_test_every_epoch=False)
+    for (records, ref_model), got, model in zip(expected, outcomes, models):
+        assert got == records
+        assert [r.test_acc is None for r in got] == [True, True, False]
+        _assert_same_params(model, ref_model)
+
+
+def test_lockstep_divergence_leaves_other_members_unchanged():
+    features = np.arange(1.0, 13.0).reshape(6, 2)  # x > 0, 3 steps of 2 per epoch
+    base = LabeledDataset(features, np.zeros(6, dtype=int), 2)
+    members = []
+    for i, (spec, lr) in enumerate(((CE, 0.1), (CE, 1e120), (FR, 0.05), (CE, 0.1), (MSE, 0.2), (HELLINGER, 0.1))):
+        labels = np.array([0, 1, 1, 0, 1, 0]) if i % 2 else np.array([0, 1] * 3)
+        config = MlpConfig((2, 3, 2), spec, lr, 2, 3, seed=i)
+        members.append((init_model(config), base.with_labels(labels), config))
+    # member 1: huge activations and rate overflow its first update, and the
+    # next step's scores check catches it; member 3: a -inf input weight
+    # hides behind ReLU, so only the epoch-end parameter check sees it
+    members[1][0].weights[0][:] *= 1e200
+    members[3][0].weights[0][0, 0] = -np.inf
+    test_ds = LabeledDataset(features[::-1], np.array([1, 0] * 3), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
+        models, sets, configs = (list(col) for col in zip(*members))
+        outcomes = train_lockstep(models, sets, test_ds, configs)
+    assert [isinstance(out, TrainingDiverged) for out in outcomes] == [False, True, False, True, False, False]
+    assert "scores" in str(outcomes[1]) and "parameters" in str(outcomes[3])
+    for (solo, solo_model), got, model in zip(expected, outcomes, models):
+        if isinstance(solo, TrainingDiverged):
+            assert (str(got), got.epoch, got.records) == (str(solo), solo.epoch, solo.records)
+        else:
+            assert got == solo
+            _assert_same_params(model, solo_model)
+
+
+def test_lockstep_rejects_members_that_cannot_share_a_step():
+    train_ds, test_ds = _blobs(40)
+    cfg = MlpConfig((2, 4, 2), CE, 0.1, 10, 2, seed=0)
+    other = LabeledDataset(train_ds.features.copy(), train_ds.labels, 2)
+    with pytest.raises(ValueError, match="feature matrix"):
+        train_lockstep([init_model(cfg), init_model(cfg)], [train_ds, other], test_ds, [cfg, cfg])
+    wider = MlpConfig((2, 5, 2), CE, 0.1, 10, 2, seed=0)
+    with pytest.raises(ValueError, match="share layer_sizes"):
+        train_lockstep([init_model(cfg), init_model(wider)], [train_ds, train_ds], test_ds, [cfg, wider])
