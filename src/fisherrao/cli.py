@@ -47,6 +47,8 @@ def _progress(line: str) -> None:
 
 def cmd_bounds(args) -> int:
     specs = _parse_losses(args.losses)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.sweep == "alpha":
         alphas = np.linspace(0.0, args.alpha_max, args.points)
         rows = alpha_sweep(specs, args.K, alphas)
@@ -148,6 +150,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_losses_table(args) -> int:
     specs = _parse_losses(args.losses)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     grid = np.arange(1, args.points + 1, dtype=np.float64) / args.points  # (0, 1]
     probs = np.stack([grid, 1.0 - grid], axis=1)
     labels = np.zeros(grid.size, dtype=np.int64)

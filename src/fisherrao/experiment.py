@@ -214,7 +214,7 @@ def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
-def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, tag, progress) -> list[RunResult]:
+def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, train_acc, tag, progress) -> list[RunResult]:
     """Train (eta_index, loss, seed, lr) cells in lockstep groups; results in cell order.
 
     Every cell's noisy labels are built before the first group trains, so an
@@ -236,7 +236,7 @@ def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, tag, 
                 progress(line)
         configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, loss, seed, lr in group]
         outcomes = train_lockstep([init_model(c) for c in configs], [noisy[i, seed] for i, _, seed, _ in group],
-                                  test_ds, configs, eval_every_epoch)
+                                  test_ds, configs, eval_every_epoch, train_acc)
         for (i, loss, seed, lr), line, out in zip(group, lines, outcomes):
             diverged = isinstance(out, TrainingDiverged)
             results.append(RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged))
@@ -264,7 +264,7 @@ def run_sweep(
         (eta_index, loss, seed, lr_for(loss, eta))
         for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed in spec.seeds
     ]
-    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, spec.eval_every_epoch, "train", progress)
+    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, spec.eval_every_epoch, True, "train", progress)
 
 
 def make_lr_lookup(spec: ExperimentSpec):
@@ -304,7 +304,8 @@ def grid_search_lr(
         (eta_index, loss, spec.seeds[0], lr)
         for eta_index in range(len(spec.etas)) for loss in spec.losses for lr in spec.lr_grid
     ]
-    results = _train_cells(train_ds, test_ds, spec, cells, epochs, False, "grid", progress)
+    # selection reads only the final test accuracy, so grid runs skip the train-accuracy passes
+    results = _train_cells(train_ds, test_ds, spec, cells, epochs, False, False, "grid", progress)
     rows = []
     for start in range(0, len(results), len(spec.lr_grid)):
         group = results[start : start + len(spec.lr_grid)]

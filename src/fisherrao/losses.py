@@ -179,6 +179,17 @@ def _true_class_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return probs[np.arange(probs.shape[0]), labels]
 
 
+def true_class_loss(spec: LossSpec, t) -> NDArray[np.float64]:
+    """h(t) for a loss that is a function of the true-class probability t alone."""
+    return _KIND_TABLE[spec.kind].h(t, spec.q)
+
+
+def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
+    """|h'(t)| t with t clamped to [CLAMP_EPS, 1]: the factor on p - e_y in the score gradient."""
+    t = _clamp(t)
+    return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q) * t
+
+
 def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     """Per-sample losses for a batch: probs (n, K) distributions, labels (n,) ints."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -186,7 +197,7 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     t = _true_class_probs(probs, labels)
     if spec.kind == "mse":
         return (probs * probs).sum(axis=1) - 2.0 * t + 1.0
-    return _KIND_TABLE[spec.kind].h(t, spec.q)
+    return true_class_loss(spec, t)
 
 
 def loss_value(spec: LossSpec, p, y: int) -> float:
@@ -229,17 +240,15 @@ def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    n, k = probs.shape
-    rows = np.arange(n)
+    rows = np.arange(probs.shape[0])
     if spec.kind == "mse":
-        v = 2.0 * probs.copy()
+        v = 2.0 * probs
         v[rows, labels] -= 2.0
         v *= probs
-        return v - probs * v.sum(axis=1, keepdims=True)
-    t = np.clip(_true_class_probs(probs, labels), CLAMP_EPS, 1.0)
+        return np.subtract(v, probs * v.sum(axis=1, keepdims=True), out=v)
     g = probs.copy()
     g[rows, labels] -= 1.0
-    g *= (h_prime_abs(spec, t) * t)[:, None]
+    g *= gradient_weight(spec, _true_class_probs(probs, labels))[:, None]
     return g
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import LabeledDataset
-from .losses import LossSpec, loss_values, score_gradients
+from .losses import LossSpec, gradient_weight, loss_values, score_gradients, true_class_loss
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
 from .simplex import softmax
 
@@ -72,13 +72,13 @@ class TrainRecord:
     """Metrics recorded at the end of one epoch.
 
     train_loss is the running mean over the epoch's batches (weighted by
-    batch size); accuracies are evaluated after the epoch's updates.
-    test_acc is None for epochs where test evaluation was skipped.
+    batch size); accuracies are evaluated after the epoch's updates, and
+    are None for epochs where that evaluation was skipped.
     """
 
     epoch: int
     train_loss: float
-    train_acc: float
+    train_acc: float | None
     test_acc: float | None
 
 
@@ -111,9 +111,11 @@ def init_model(config: MlpConfig) -> MlpModel:
 def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     """[x, hidden ReLU activations..., scores] for x of shape (n, m), or (R, n, m) for a stacked model."""
     acts = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(np.maximum(acts[-1] @ w + b[..., None, :], 0.0))
-    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1][..., None, :])
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases), start=1):
+        acts.append(acts[-1] @ w)
+        acts[-1] += b[..., None, :]
+        if layer < len(model.weights):
+            np.maximum(acts[-1], 0.0, out=acts[-1])
     return acts
 
 
@@ -128,35 +130,43 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
         gw = np.swapaxes(acts[layer], -1, -2) @ delta
         gb = delta.sum(axis=-2)
         if layer > 0:
-            # max(z, 0) > 0 exactly where z > 0: the ReLU mask
-            delta = (delta @ np.swapaxes(model.weights[layer], -1, -2)) * (acts[layer] > 0.0)
+            delta = delta @ np.swapaxes(model.weights[layer], -1, -2)
+            delta *= acts[layer] > 0.0  # max(z, 0) > 0 exactly where z > 0: the ReLU mask
         yield layer, gw, gb
 
 
 def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     """Mean batch loss (R,) and its score gradient (R, n, K) for stacked scores (R, n, K).
 
-    groups holds (LossSpec, members) pairs, members indexing the R axis; the
-    loss functions run once per group on its members' rows.
+    groups holds (LossSpec, slice) pairs covering the R axis.  Softmax, t = p_y
+    and p - e_y are computed once for the stack; per member the result is
+    loss_values(...).mean() and score_gradients(...) / n, bit for bit.
     """
     r, n, k = scores.shape
     probs = softmax(scores)
+    flat = np.arange(r * n) * k + labels.reshape(-1)
+    t = probs.reshape(-1)[flat].reshape(r, n)
+    delta = probs.copy()
+    delta.reshape(-1)[flat] -= 1.0
     mean_loss = np.empty(r)
-    delta = np.empty_like(probs)
+    weight = np.ones((r, n))  # MSE rows keep weight 1: x * 1.0 == x
     for spec, members in groups:
-        p = probs[members].reshape(-1, k)
-        y = labels[members].reshape(-1)
-        mean_loss[members] = loss_values(spec, p, y).reshape(-1, n).mean(axis=1)
-        delta[members] = score_gradients(spec, p, y).reshape(-1, n, k) / n
+        if spec.kind == "mse":
+            p, y = probs[members].reshape(-1, k), labels[members].reshape(-1)
+            mean_loss[members] = loss_values(spec, p, y).reshape(-1, n).mean(axis=1)
+            delta[members] = score_gradients(spec, p, y).reshape(-1, n, k)
+        else:
+            mean_loss[members] = true_class_loss(spec, t[members]).mean(axis=1)
+            weight[members] = gradient_weight(spec, t[members])
+    delta *= weight[..., None]
+    delta /= n
     return mean_loss, delta
 
 
-def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, list[int]]]:
-    """(spec, member positions) per distinct loss, in first-seen order."""
-    positions: dict[LossSpec, list[int]] = {}
-    for pos, spec in enumerate(specs):
-        positions.setdefault(spec, []).append(pos)
-    return list(positions.items())
+def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
+    """(spec, slice of member positions) per run of consecutive equal losses."""
+    starts = [pos for pos, spec in enumerate(specs) if pos == 0 or spec != specs[pos - 1]]
+    return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
 def _bind(models: list[MlpModel], live: np.ndarray, stack: MlpModel) -> None:
@@ -187,11 +197,13 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     y = np.asarray(labels)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
+    if y.shape != x.shape[:1] or np.any((y < 0) | (y >= model.weights[-1].shape[1])):
+        raise ValueError(f"labels must be {x.shape[0]} class indices in [0, {model.weights[-1].shape[1]})")
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    mean_loss, delta = _loss_layer(acts[-1], y[None], [(spec, [0])])
+    mean_loss, delta = _loss_layer(acts[-1], y[None], [(spec, slice(0, 1))])
     grad_w = [np.empty(0)] * len(model.weights)
     grad_b = [np.empty(0)] * len(model.biases)
     for layer, gw, gb in _backward(stack, acts, delta):
@@ -199,15 +211,23 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     return grad_w, grad_b, float(mean_loss[0])
 
 
-def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> tuple[float, float]:
-    """(accuracy, mean loss) over a dataset; argmax ties go to the smallest index."""
-    correct = 0
-    loss_total = 0.0
+def _scored_chunks(model: MlpModel, ds: LabeledDataset, chunk: int = 2048):
+    """(argmax hits, scores, labels) per chunk of rows; argmax ties go to the smallest index."""
     for start in range(0, len(ds), chunk):
-        x = ds.features[start : start + chunk]
         y = ds.labels[start : start + chunk]
-        scores = _forward(model, x)[-1]
-        correct += int((np.argmax(scores, axis=1) == y).sum())
+        scores = _forward(model, ds.features[start : start + chunk])[-1]
+        yield int((np.argmax(scores, axis=1) == y).sum()), scores, y
+
+
+def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> tuple[float, float]:
+    """(accuracy, mean loss) over a dataset; argmax ties go to the smallest index.
+
+    The chunk is part of the numeric contract: BLAS may compute a row
+    differently depending on how many rows the call holds.
+    """
+    correct, loss_total = 0, 0.0
+    for hits, scores, y in _scored_chunks(model, ds, chunk):
+        correct += hits
         loss_total += float(loss_values(spec, softmax(scores), y).sum())
     return correct / len(ds), loss_total / len(ds)
 
@@ -218,6 +238,7 @@ def train_lockstep(
     test_ds: LabeledDataset | None,
     configs: list[MlpConfig],
     eval_test_every_epoch: bool = True,
+    record_train_acc: bool = True,
 ) -> list:
     """Mini-batch SGD on R models at once; per member, its TrainRecords or its TrainingDiverged.
 
@@ -226,8 +247,8 @@ def train_lockstep(
     The members share the feature matrix (datasets made by with_labels), the
     layer sizes, batch size and epoch count.  Their parameters are stacked,
     so each layer takes one matmul forward and one backward, and the loss
-    layer runs once per distinct loss; each model's arrays become views of
-    the stack, so they hold the trained values on return.
+    layer runs once per step; each model's arrays become views of the
+    stack, so they hold the trained values on return.
 
     Each epoch draws a fresh seeded permutation per member, walks it in
     batch_size slices (final partial batch included) and applies
@@ -238,7 +259,8 @@ def train_lockstep(
     when lr > 0 and nan when lr = 0, so w - lr * g is not finite either, and
     a parameter that is not finite stays so.  A diverged member gets a
     TrainingDiverged with that epoch and its completed records and leaves
-    the group; the others go on unchanged to the bit.
+    the group; the others go on unchanged to the bit.  Without
+    record_train_acc, epochs skip the train-accuracy pass (train_acc None).
     """
     if not models or not len(models) == len(train_sets) == len(configs):
         raise ValueError("need one train set and one config per model, and at least one model")
@@ -306,10 +328,10 @@ def train_lockstep(
             if not live.size:
                 return outcomes
         for pos, i in enumerate(live):
-            train_acc, _ = evaluate(models[i], train_sets[i], configs[i].loss)
+            train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None
             test_acc = None
             if test_ds is not None and (eval_test_every_epoch or epoch == epochs):
-                test_acc, _ = evaluate(models[i], test_ds, configs[i].loss)
+                test_acc = sum(h for h, _, _ in _scored_chunks(models[i], test_ds)) / len(test_ds)
             outcomes[i].append(TrainRecord(epoch, float(loss_sum[pos]) / n, train_acc, test_acc))
     return outcomes
 

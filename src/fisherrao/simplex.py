@@ -67,9 +67,9 @@ def softmax(scores) -> NDArray[np.float64]:
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax requires finite scores")
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def sphere_embed(p) -> NDArray[np.float64]:

@@ -240,6 +240,15 @@ def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
 # -------------------------------------------------------------------- usage
 
 
+@pytest.mark.parametrize("command", [["bounds", "--sweep", "alpha"], ["losses-table"]])
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_points_below_one_is_usage_error(tmp_path, capsys, command, points):
+    out = tmp_path / "t.csv"
+    assert cli.run([*command, "--points", points, "--out", str(out)]) == 2
+    assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])

@@ -27,7 +27,7 @@ from fisherrao.experiment import (
     _group_sizes,
 )
 from fisherrao.losses import CE, FR, MAE, LossSpec, qce
-from fisherrao.mlp import MlpConfig, TrainRecord, init_model, train
+from fisherrao.mlp import MlpConfig, TrainRecord, init_model, train, train_lockstep
 from fisherrao.noise import NoiseSpec, corrupt_labels
 from fisherrao.rng import derive_seed
 
@@ -429,6 +429,44 @@ def test_grid_search_selects_best_and_breaks_ties_low(tmp_path):
     write_lr_table_csv(table_path, rows)
     table = read_lr_table(table_path)
     assert table == {("ce", 0.0): 0.05}
+
+
+def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, monkeypatch):
+    # grid runs skip the train-accuracy pass; the selection, which reads
+    # only the final test accuracy, is that of fully evaluated runs
+    train_ds, test_ds = _blobs(60, 30, sep=1.0)
+    spec = _tiny_spec(losses=(CE, qce(0.5), FR), lr=None, lr_grid=(0.03, 0.3), grid_epochs=2)
+    outcomes = []
+
+    def recording(*args):
+        outcomes.extend(train_lockstep(*args))
+        return outcomes[-len(args[0]):]
+
+    monkeypatch.setattr(experiment, "train_lockstep", recording)
+    rows = grid_search_lr(train_ds, test_ds, spec)
+    assert [r.train_acc for out in outcomes for r in out] == [None, None] * len(rows)
+    assert [r.test_acc is None for out in outcomes for r in out] == [True, False] * len(rows)
+    expected = []
+    for eta_index, eta in enumerate(spec.etas):
+        for loss in spec.losses:
+            runs = [run_cell(train_ds, test_ds, loss, eta, eta_index, spec.seeds[0], spec.hidden,
+                             spec.batch_size, 2, lr, eval_every_epoch=False) for lr in spec.lr_grid]
+            accs = [r.final_test_acc for r in runs]
+            assert all(isinstance(r.train_acc, float) for run in runs for r in run.records)
+            expected += [{"loss": loss.kind, "q": loss.q, "eta": eta, "lr": lr, "final_test_acc": acc,
+                          "selected": int(i == int(np.argmax(accs)))}
+                         for i, (lr, acc) in enumerate(zip(spec.lr_grid, accs))]
+    assert rows == expected
+    write_lr_table_csv(tmp_path / "grid.csv", rows)
+    write_lr_table_csv(tmp_path / "cells.csv", expected)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("eval_every_epoch", [True, False])
+def test_run_sweep_records_train_accuracy_every_epoch(eval_every_epoch):
+    train_ds, test_ds = _blobs()
+    for r in run_sweep(train_ds, test_ds, _tiny_spec(eval_every_epoch=eval_every_epoch)):
+        assert [type(rec.train_acc) for rec in r.records] == [float] * 3
 
 
 def test_grid_search_scores_divergence_minus_one():

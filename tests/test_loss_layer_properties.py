@@ -1,0 +1,47 @@
+"""Property-based checks of the lockstep loss layer (``mlp._loss_layer``).
+
+The stacked layer shares one softmax, one gather of t = p_y and one p - e_y
+among all members; each member's mean loss and score gradient must still be
+the per-member ``loss_values(...).mean()`` and ``score_gradients(...) / n``,
+bit for bit, whatever losses share the stack and in whatever order.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, loss_values, qce, score_gradients
+from fisherrao.mlp import _loss_groups, _loss_layer
+from fisherrao.simplex import softmax
+
+# Scores of +-700 drive t to 1 and below CLAMP_EPS (exp(-1400) is 0).
+score_values = st.one_of(st.sampled_from((-700.0, 700.0, 0.0, -40.0, 40.0)), st.floats(-700.0, 700.0))
+specs = st.one_of(st.sampled_from((MSE, MAE, CE, qce(0.0), FR, HELLINGER)), st.floats(0.0, 1.0).map(qce))
+
+
+@st.composite
+def stacks(draw):
+    r, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    scores = draw(arrays(np.float64, (r, n, k), elements=score_values))
+    labels = draw(arrays(np.int64, (r, n), elements=st.integers(0, k - 1)))
+    return scores, labels, draw(st.lists(specs, min_size=r, max_size=r))
+
+
+def _assert_matches_per_member(scores, labels, members):
+    mean_loss, delta = _loss_layer(scores, labels, _loss_groups(members))
+    assert np.isfinite(mean_loss).all() and np.isfinite(delta).all()
+    n = scores.shape[1]
+    for m, spec in enumerate(members):
+        probs = softmax(scores[m])
+        assert mean_loss[m].tobytes() == loss_values(spec, probs, labels[m]).mean().tobytes()
+        assert delta[m].tobytes() == (score_gradients(spec, probs, labels[m]) / n).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_loss_layer_matches_per_member_losses_bit_for_bit(stack):
+    scores, labels, members = stack
+    _assert_matches_per_member(scores, labels, members)  # drawn order: losses interleave
+    order = sorted(range(len(members)), key=lambda m: str(members[m]))  # each loss side by side
+    _assert_matches_per_member(scores[order], labels[order], [members[m] for m in order])

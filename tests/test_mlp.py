@@ -198,6 +198,14 @@ def test_batch_grad_rejects_empty_and_nonfinite():
         batch_grad(model, np.ones((2, 3)), np.array([0, 1]), CE)
 
 
+@pytest.mark.parametrize("labels", [[3, 0], [0, -1], [0, 1, 2]])
+def test_batch_grad_rejects_labels_that_do_not_fit_the_batch(labels):
+    # the loss layer indexes p_y through a flat index, where a label out of
+    # [0, K) would silently read a neighbouring row
+    with pytest.raises(ValueError, match="class indices"):
+        batch_grad(init_model(_config()), np.ones((2, 3)), np.array(labels), CE)
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -363,6 +371,24 @@ def test_evaluate_accuracy_invariant_to_score_shift():
     model.biases[-1] += 17.5  # shifts every sample's scores uniformly
     acc_after, _ = evaluate(model, train_ds, CE)
     assert acc_before == acc_after
+
+
+@pytest.mark.parametrize("layers", [(3, 2), (3, 4, 5, 2)])
+def test_calls_leave_callers_feature_array_unchanged(layers):
+    # the forward and backward passes work in place on their own arrays only
+    rng = make_rng(8, 0)
+    x = rng.normal(size=(9, 3))
+    y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+    before = x.copy()
+    cfg = MlpConfig(layers, FR, 0.1, 4, 2, seed=1)
+    model = init_model(cfg)
+    forward(model, x[0])
+    batch_grad(model, x, y, cfg.loss)
+    ds = LabeledDataset(x, y, 2)
+    evaluate(model, ds, cfg.loss)
+    train(model, ds, ds, cfg)
+    assert x.flags.writeable
+    assert x.tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------------- checkpoints
