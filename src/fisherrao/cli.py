@@ -33,8 +33,11 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _parse_losses(text: str) -> list[LossSpec]:
-    return [LossSpec.parse(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, parse, flag: str) -> list:
+    items = [parse(tok) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"{flag} must list at least one value, got {text!r}")
+    return items
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -46,7 +49,7 @@ def _progress(line: str) -> None:
 
 
 def cmd_bounds(args) -> int:
-    specs = _parse_losses(args.losses)
+    specs = _parse_list(args.losses, LossSpec.parse, "--losses")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.sweep == "alpha":
@@ -55,7 +58,7 @@ def cmd_bounds(args) -> int:
         x_key, x_label = "alpha", "alpha"
         default_out = "bounds_alpha.csv"
     else:
-        ks = [int(tok) for tok in args.K_grid.split(",") if tok.strip()]
+        ks = _parse_list(args.K_grid, int, "--K-grid")
         rows = class_count_sweep(specs, args.alpha, ks)
         x_key, x_label = "K", "number of classes K"
         default_out = "bounds_K.csv"
@@ -149,7 +152,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_losses_table(args) -> int:
-    specs = _parse_losses(args.losses)
+    specs = _parse_list(args.losses, LossSpec.parse, "--losses")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     grid = np.arange(1, args.points + 1, dtype=np.float64) / args.points  # (0, 1]

@@ -184,7 +184,9 @@ def _class_vertices(spec: SyntheticSpec) -> NDArray[np.float64]:
 
 def _sample_cluster(vertices: NDArray[np.float64], n: int, rng: np.random.Generator, num_classes: int) -> LabeledDataset:
     labels = rng.integers(0, num_classes, size=n, dtype=np.int64)
-    feats = vertices[labels] + rng.standard_normal((n, vertices.shape[1]))
+    feats = rng.standard_normal((n, vertices.shape[1]))
+    for start in range(0, n, 256):  # centers added in row blocks, so the set holds one (n, m) array, not two
+        feats[start : start + 256] += vertices[labels[start : start + 256]]
     return LabeledDataset(feats, labels, num_classes)
 
 
@@ -247,7 +249,8 @@ def load_mnist(images_path, labels_path, num_classes: int = 10) -> LabeledDatase
             path=images_path,
             offset=4,
         )
-    feats = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
+    feats = pixels.reshape(n_img, rows * cols).astype(np.float64)
+    feats /= 255.0  # in place: one float64 copy of the pixels, not two
     try:
         return LabeledDataset(feats, raw_labels.astype(np.int64), num_classes)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .data import LabeledDataset
 from .losses import LossSpec, gradient_weight, loss_values, score_gradients, true_class_loss
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
-from .simplex import softmax
+from .simplex import _softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -135,32 +135,46 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
         yield layer, gw, gb
 
 
-def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
-    """Mean batch loss (R,) and its score gradient (R, n, K) for stacked scores (R, n, K).
+def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Score gradient of each member's mean batch loss, in place of the finite stacked scores (R, n, K).
 
     groups holds (LossSpec, slice) pairs covering the R axis.  Softmax, t = p_y
     and p - e_y are computed once for the stack; per member the result is
-    loss_values(...).mean() and score_gradients(...) / n, bit for bit.
+    score_gradients(...) / n, bit for bit.  For _batch_mean_losses, t (R, n)
+    receives t and sq (R, n) receives ||p||^2 on MSE rows.
     """
     r, n, k = scores.shape
-    probs = softmax(scores)
+    probs = _softmax(scores, out=scores)
     flat = np.arange(r * n) * k + labels.reshape(-1)
-    t = probs.reshape(-1)[flat].reshape(r, n)
-    delta = probs.copy()
-    delta.reshape(-1)[flat] -= 1.0
-    mean_loss = np.empty(r)
-    weight = np.ones((r, n))  # MSE rows keep weight 1: x * 1.0 == x
+    t[...] = t_step = probs.reshape(-1)[flat].reshape(r, n)
     for spec, members in groups:
         if spec.kind == "mse":
             p, y = probs[members].reshape(-1, k), labels[members].reshape(-1)
-            mean_loss[members] = loss_values(spec, p, y).reshape(-1, n).mean(axis=1)
-            delta[members] = score_gradients(spec, p, y).reshape(-1, n, k)
+            sq[members] = (p * p).sum(axis=1).reshape(-1, n)
+            probs[members] = score_gradients(spec, p, y).reshape(-1, n, k)
         else:
-            mean_loss[members] = true_class_loss(spec, t[members]).mean(axis=1)
-            weight[members] = gradient_weight(spec, t[members])
-    delta *= weight[..., None]
-    delta /= n
-    return mean_loss, delta
+            probs.reshape(-1)[flat[members.start * n : members.stop * n]] -= 1.0
+            probs[members] *= gradient_weight(spec, t_step[members])[..., None]
+    probs /= n
+    return probs
+
+
+def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, groups, batch_size: int) -> np.ndarray:
+    """Mean loss per member (row) and batch (column) from the t and ||p||^2 stored by _loss_layer.
+
+    A batch is batch_size consecutive columns, the last one possibly fewer;
+    each mean is loss_values(...).mean() of that batch, bit for bit.
+    """
+    losses = np.empty_like(t)
+    for spec, members in groups:
+        if spec.kind == "mse":  # loss_values' ||p||^2 - 2 t + 1
+            losses[members] = sq[members] - 2.0 * t[members] + 1.0
+        else:
+            losses[members] = true_class_loss(spec, t[members])
+    r, n = t.shape
+    full = n - n % batch_size
+    means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
+    return np.concatenate([means, losses[:, full:].mean(axis=1, keepdims=True)], axis=1) if full < n else means
 
 
 def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
@@ -203,12 +217,13 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    mean_loss, delta = _loss_layer(acts[-1], y[None], [(spec, slice(0, 1))])
+    groups, (t, sq) = [(spec, slice(0, 1))], np.empty((2, 1, y.size))
+    delta = _loss_layer(acts[-1], y[None], groups, t, sq)
     grad_w = [np.empty(0)] * len(model.weights)
     grad_b = [np.empty(0)] * len(model.biases)
     for layer, gw, gb in _backward(stack, acts, delta):
         grad_w[layer], grad_b[layer] = gw[0], gb[0]
-    return grad_w, grad_b, float(mean_loss[0])
+    return grad_w, grad_b, float(_batch_mean_losses(t, sq, groups, y.size)[0, 0])
 
 
 def _scored_chunks(model: MlpModel, ds: LabeledDataset, chunk: int = 2048):
@@ -246,9 +261,9 @@ def train_lockstep(
     would alone: own init, shuffle stream, labels, loss and learning rate.
     The members share the feature matrix (datasets made by with_labels), the
     layer sizes, batch size and epoch count.  Their parameters are stacked,
-    so each layer takes one matmul forward and one backward, and the loss
-    layer runs once per step; each model's arrays become views of the
-    stack, so they hold the trained values on return.
+    so each layer takes one matmul forward and one backward, the loss layer
+    runs once per step and the loss values once per epoch; each model's
+    arrays become views of the stack, so they hold the trained values on return.
 
     Each epoch draws a fresh seeded permutation per member, walks it in
     batch_size slices (final partial batch included) and applies
@@ -284,16 +299,18 @@ def train_lockstep(
     lr = np.array([c.learning_rate for c in configs])
     shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
     groups = _loss_groups([c.loss for c in configs])
+    t_buf, sq_buf = np.empty((2, len(models), n))  # each step's t and ||p||^2, for the epoch's loss
+    batch_sizes = np.diff([*range(0, n, batch_size), n])
 
     def drop(bad: np.ndarray, epoch: int, message: str) -> np.ndarray:
         """Record the bad members as diverged and remove them from the stack; returns the keep mask."""
-        nonlocal live, stack, lr, groups
+        nonlocal live, stack, lr, groups, t_buf, sq_buf
         for i in live[bad]:
             models[i].weights[:] = [w.copy() for w in models[i].weights]
             models[i].biases[:] = [b.copy() for b in models[i].biases]
             outcomes[i] = TrainingDiverged(message, epoch=epoch, records=outcomes[i])
         keep = ~bad
-        live, lr = live[keep], lr[keep]
+        live, lr, t_buf, sq_buf = live[keep], lr[keep], t_buf[keep], sq_buf[keep]
         stack = MlpModel([w[keep] for w in stack.weights], [b[keep] for b in stack.biases])
         shuffles[:] = [rng for rng, k in zip(shuffles, keep) if k]
         _bind(models, live, stack)
@@ -303,18 +320,16 @@ def train_lockstep(
     for epoch in range(1, epochs + 1):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
         epoch_labels = np.stack([train_sets[i].labels[order] for i, order in zip(live, orders)])
-        loss_sum = np.zeros(live.size)
         for start in range(0, n, batch_size):
-            idx = orders[:, start : start + batch_size]
-            acts = _forward(stack, features[idx])
+            cols = slice(start, start + batch_size)
+            acts = _forward(stack, features[orders[:, cols]])
             if not np.all(np.isfinite(acts[-1])):
                 keep = drop(~np.isfinite(acts[-1]).all(axis=(1, 2)), epoch, "non-finite scores in forward pass")
                 if not live.size:
                     return outcomes
                 acts = [a[keep] for a in acts]
-                orders, epoch_labels, loss_sum = orders[keep], epoch_labels[keep], loss_sum[keep]
-            mean_loss, delta = _loss_layer(acts[-1], epoch_labels[:, start : start + batch_size], groups)
-            loss_sum += mean_loss * idx.shape[1]
+                orders, epoch_labels = orders[keep], epoch_labels[keep]
+            delta = _loss_layer(acts[-1], epoch_labels[:, cols], groups, t_buf[:, cols], sq_buf[:, cols])
             lr_w = lr[:, None, None]
             for layer, gw, gb in _backward(stack, acts, delta):
                 stack.weights[layer] -= np.multiply(gw, lr_w, out=gw)
@@ -324,9 +339,12 @@ def train_lockstep(
         for a in (*stack.weights, *stack.biases):
             finite &= np.isfinite(a).reshape(live.size, -1).all(axis=1)
         if not finite.all():
-            loss_sum = loss_sum[drop(~finite, epoch, "non-finite parameters after update")]
+            drop(~finite, epoch, "non-finite parameters after update")
             if not live.size:
                 return outcomes
+        loss_sum = np.zeros(live.size)
+        for batch_loss in (_batch_mean_losses(t_buf, sq_buf, groups, batch_size) * batch_sizes).T:
+            loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
         for pos, i in enumerate(live):
             train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None
             test_acc = None

@@ -67,7 +67,12 @@ def softmax(scores) -> NDArray[np.float64]:
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax requires finite scores")
-    e = s - s.max(axis=-1, keepdims=True)
+    return _softmax(s)
+
+
+def _softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax of float64 scores already known to be finite, into out (which may be s)."""
+    e = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 

@@ -249,6 +249,18 @@ def test_points_below_one_is_usage_error(tmp_path, capsys, command, points):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["bounds", "--sweep", "alpha", "--losses", ","], "--losses"),
+    (["losses-table", "--losses", " "], "--losses"),
+    (["bounds", "--sweep", "K", "--K-grid", ","], "--K-grid"),
+])
+def test_empty_list_is_usage_error(tmp_path, capsys, args, flag):
+    out = tmp_path / "t.csv"
+    assert cli.run([*args, "--out", str(out)]) == 2
+    assert f"{flag} must list at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,11 +8,13 @@ from fisherrao.data import (
     DataFormatError,
     LabeledDataset,
     SyntheticSpec,
+    _class_vertices,
     generate_synthetic,
     load_csv,
     load_mnist,
     save_csv,
 )
+from fisherrao.rng import STREAM_TEST, STREAM_TRAIN, make_rng
 
 # ------------------------------------------------------------ LabeledDataset
 
@@ -113,6 +117,42 @@ def test_synthetic_highdim_vertices_distinct():
     assert len({tuple(row) for row in snapped}) == 10
 
 
+def _traced_peak(fn, *args):
+    """(fn(*args), peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _reference_synthetic(spec):
+    """The generator's law written out: vertices[labels] + noise, per (train, test) stream."""
+    vertices = _class_vertices(spec)
+    sets = []
+    for n, stream in ((spec.n_train, STREAM_TRAIN), (spec.n_test, STREAM_TEST)):
+        rng = make_rng(spec.seed, stream)
+        labels = rng.integers(0, spec.num_classes, size=n, dtype=np.int64)
+        sets.append((vertices[labels] + rng.standard_normal((n, spec.num_features)), labels))
+    return sets
+
+
+# row counts that are not multiples of the generator's row block; m <= 20 and
+# m > 20 take the two vertex samplers
+@pytest.mark.parametrize("spec", [SyntheticSpec(1000, 257, 12, 5, 0.7, seed=2),
+                                  SyntheticSpec(300, 513, 40, 10, 1.3, seed=4)])
+def test_synthetic_matches_reference_bit_for_bit(spec):
+    for ds, (features, labels) in zip(generate_synthetic(spec), _reference_synthetic(spec)):
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_synthetic_holds_one_feature_matrix_per_set():
+    (train, test), peak = _traced_peak(generate_synthetic, SyntheticSpec(2400, 500, 784, 10, seed=0))
+    # a vertices[labels] array next to the noise draw would add another 15 MB
+    assert peak < train.features.nbytes + test.features.nbytes + 4 * 2**20
+
+
 def test_synthetic_noise_is_unit_variance():
     train, _ = generate_synthetic(SyntheticSpec(50_000, 10, 6, 2, 1.0, seed=13))
     centers = np.stack([train.features[train.labels == c].mean(axis=0) for c in range(2)])
@@ -161,9 +201,22 @@ def test_load_idx_pair(idx_pair):
     assert ds.features.shape == (3, 4)
     assert ds.num_classes == 10
     npt.assert_allclose(ds.features[0], [0.0, 128 / 255, 1.0, 3 / 255], rtol=0, atol=1e-15)
+    pixels = np.array([[0, 128, 255, 3], [1, 2, 3, 4], [10, 20, 30, 40]], dtype=np.uint8)
+    assert ds.features.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     npt.assert_array_equal(ds.labels, [7, 0, 9])
     assert ds.labels[0] == _independent_first_label(lab_path)
+
+
+def test_load_idx_scales_in_place(tmp_path):
+    pixels = np.random.default_rng(0).integers(0, 256, size=(500, 28, 28), dtype=np.uint8)
+    img_path, lab_path = tmp_path / "imgs.idx3-ubyte", tmp_path / "labs.idx1-ubyte"
+    header = b"".join(v.to_bytes(4, "big") for v in (0x00000803, *pixels.shape))
+    img_path.write_bytes(header + pixels.tobytes())
+    _write_idx_labels(lab_path, [i % 10 for i in range(500)])
+    ds, peak = _traced_peak(load_mnist, img_path, lab_path)
+    assert ds.features.tobytes() == (pixels.reshape(500, -1).astype(np.float64) / 255.0).tobytes()
+    assert peak < 1.5 * ds.features.nbytes  # a second float64 copy of the features would pass 2x
 
 
 def test_load_idx_swapped_files_rejected(idx_pair):

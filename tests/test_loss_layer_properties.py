@@ -1,8 +1,9 @@
 """Property-based checks of the lockstep loss layer (``mlp._loss_layer``).
 
 The stacked layer shares one softmax, one gather of t = p_y and one p - e_y
-among all members; each member's mean loss and score gradient must still be
-the per-member ``loss_values(...).mean()`` and ``score_gradients(...) / n``,
+among all members; each member's score gradient, and its mean loss built by
+``mlp._batch_mean_losses`` from the t and ||p||^2 the layer stores, must still
+be the per-member ``score_gradients(...) / n`` and ``loss_values(...).mean()``,
 bit for bit, whatever losses share the stack and in whatever order.
 """
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, loss_values, qce, score_gradients
-from fisherrao.mlp import _loss_groups, _loss_layer
+from fisherrao.mlp import _batch_mean_losses, _loss_groups, _loss_layer
 from fisherrao.simplex import softmax
 
 # Scores of +-700 drive t to 1 and below CLAMP_EPS (exp(-1400) is 0).
@@ -29,9 +30,11 @@ def stacks(draw):
 
 
 def _assert_matches_per_member(scores, labels, members):
-    mean_loss, delta = _loss_layer(scores, labels, _loss_groups(members))
+    n, groups = scores.shape[1], _loss_groups(members)
+    t, sq = np.empty((2, *labels.shape))
+    delta = _loss_layer(scores.copy(), labels, groups, t, sq)  # the layer overwrites the scores
+    mean_loss = _batch_mean_losses(t, sq, groups, n)[:, 0]
     assert np.isfinite(mean_loss).all() and np.isfinite(delta).all()
-    n = scores.shape[1]
     for m, spec in enumerate(members):
         probs = softmax(scores[m])
         assert mean_loss[m].tobytes() == loss_values(spec, probs, labels[m]).mean().tobytes()

@@ -548,6 +548,21 @@ def test_lockstep_group_matches_reference_loop():
         _assert_same_params(model, ref_model)
 
 
+def test_lockstep_epoch_of_zero_losses_records_positive_zero():
+    # a score margin of 2000 makes every t exactly 1, so every row's CE loss
+    # -log(1) is -0.0 and no gradient moves the model; the epoch's loss is
+    # added up from +0.0, as the reference loop's running sum is
+    features = np.array([[1000.0], [-1000.0]] * 3 + [[1000.0]])  # batches of 3, 3 and 1
+    ds = LabeledDataset(features, np.array([0, 1] * 3 + [0]), 2)
+    config = MlpConfig((1, 2), CE, 0.1, 3, 2, seed=0)
+    model = MlpModel([np.array([[1.0, -1.0]])], [np.zeros(2)])
+    expected, _ = _solo(model, ds, None, config, trainer=_reference_train)
+    (got,) = train_lockstep([model], [ds], None, [config])
+    assert got == expected
+    for a, b in zip(got, expected):
+        assert np.float64(a.train_loss).tobytes() == np.float64(b.train_loss).tobytes() == np.float64(0.0).tobytes()
+
+
 def test_lockstep_divergence_leaves_other_members_unchanged():
     features = np.arange(1.0, 13.0).reshape(6, 2)  # x > 0, 3 steps of 2 per epoch
     base = LabeledDataset(features, np.zeros(6, dtype=int), 2)
