@@ -40,10 +40,6 @@ def _parse_list(text: str, parse, flag: str) -> list:
     return items
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",") if tok.strip()], dtype=np.float64)
-
-
 def _progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
@@ -128,8 +124,8 @@ def cmd_grid_lr(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    p = as_distribution(_parse_floats(args.p), name="--p")
-    q = as_distribution(_parse_floats(args.q), name="--q")
+    p = as_distribution(_parse_list(args.p, float, "--p"), name="--p")
+    q = as_distribution(_parse_list(args.q, float, "--q"), name="--q")
     if p.size != q.size:
         raise ValueError(f"--p and --q must have the same length, got {p.size} and {q.size}")
     d_h = float(hellinger_distance(p, q))
@@ -226,10 +222,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -98,7 +98,7 @@ class LabeledDataset:
             raise ValueError(f"features must be a nonempty (N, m) matrix, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} samples")
-        if not np.all(np.isfinite(feats)):
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):  # no N x m bool mask
             raise ValueError("features must be finite")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -106,14 +106,11 @@ class LabeledDataset:
             raise ValueError(f"labels out of range [0, {self.num_classes})")
         # Freeze a view, never the caller's array; an array already frozen is
         # kept as is, so with_labels shares its features object.
-        if feats.flags.writeable:
-            feats = feats.view()
-            feats.flags.writeable = False
-        if labels.flags.writeable:
-            labels = labels.view()
-            labels.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        for name, arr in (("features", feats), ("labels", labels)):
+            if arr.flags.writeable:
+                arr = arr.view()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -326,17 +326,11 @@ def summarize(results: list[RunResult]) -> list[dict]:
     the seeds that completed; diverged seeds are excluded from the statistics
     and counted in n_diverged.
     """
-    order: list[tuple[str, float]] = []
-    cells: dict[tuple[str, float], list[RunResult]] = {}
+    cells: dict[tuple[str, float], list[RunResult]] = {}  # dicts keep first-seen order
     for r in results:
-        key = (str(r.loss), r.eta)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(r)
+        cells.setdefault((str(r.loss), r.eta), []).append(r)
     rows = []
-    for key in order:
-        group = cells[key]
+    for group in cells.values():
         loss = group[0].loss
         finals = [r.final_test_acc for r in group if not r.diverged and r.final_test_acc is not None]
         bests = [r.best_test_acc for r in group if not r.diverged and r.best_test_acc is not None]
@@ -411,17 +405,13 @@ def summarize_from_csv(path) -> list[dict]:
     rows = read_per_epoch_csv(path)
     if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
-    by_run: dict[str, list[dict]] = {}
-    run_order = []
+    by_run: dict[str, list[dict]] = {}  # in first-seen order
     for row in rows:
-        if row["run_id"] not in by_run:
-            by_run[row["run_id"]] = []
-            run_order.append(row["run_id"])
-        by_run[row["run_id"]].append(row)
+        by_run.setdefault(row["run_id"], []).append(row)
     full_epochs = max(max(r["epoch"] for r in recs) for recs in by_run.values())
     results = []
-    for rid in run_order:
-        recs = sorted(by_run[rid], key=lambda r: r["epoch"])
+    for recs in by_run.values():
+        recs = sorted(recs, key=lambda r: r["epoch"])
         head = recs[0]
         loss = LossSpec(head["loss"], head["q"])
         results.append(RunResult(

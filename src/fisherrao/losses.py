@@ -21,7 +21,10 @@ exactly p - e_y and every factor stays finite.
 
 Each p_y kind is one row of ``_KIND_TABLE``: h(t), |h'(t)| and the width of
 the range of sum_y L(p, y) over the simplex, which sets the robustness
-bounds.  MSE is the one kind handled apart.
+bounds.  MSE is the one kind handled apart.  The loss-layer formulas live in
+the stacked kernel alone (``_true_class``, ``_score_gradients_into`` and
+``_losses_from_t``): the training step runs it on R members at once, and
+``score_gradients`` and ``loss_values`` are its one-member case.
 """
 
 import math
@@ -175,29 +178,39 @@ def q_logarithm(x, q: float):
     return np.expm1((1.0 - q) * np.log(x)) / (1.0 - q)
 
 
-def _true_class_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return probs[np.arange(probs.shape[0]), labels]
-
-
-def true_class_loss(spec: LossSpec, t) -> NDArray[np.float64]:
-    """h(t) for a loss that is a function of the true-class probability t alone."""
-    return _KIND_TABLE[spec.kind].h(t, spec.q)
-
-
 def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
     """|h'(t)| t with t clamped to [CLAMP_EPS, 1]: the factor on p - e_y in the score gradient."""
     t = _clamp(t)
     return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q) * t
 
 
+def _true_class(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+    """Fill t = p_y (R, n), and sq = ||p||^2 on MSE rows, from probs (R, n, K); return p_y's flat index.
+
+    labels is (R, n); groups holds (LossSpec, slice) pairs covering the R axis;
+    sq may be None where no caller reads it.
+    """
+    r, n, k = probs.shape
+    flat = np.ravel_multi_index((np.arange(r * n), labels.reshape(-1)), (r * n, k))  # raises on a bad label
+    t[...] = probs.reshape(-1)[flat].reshape(r, n)
+    for spec, members in groups:
+        if spec.kind == "mse" and sq is not None:
+            sq[members] = (probs[members] * probs[members]).sum(axis=-1)
+    return flat
+
+
+def _losses_from_t(spec: LossSpec, t: np.ndarray, sq: np.ndarray) -> NDArray[np.float64]:
+    """Per-sample losses from t = p_y and, for MSE, sq = ||p||^2."""
+    if spec.kind == "mse":
+        return sq - 2.0 * t + 1.0
+    return _KIND_TABLE[spec.kind].h(t, spec.q)
+
+
 def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     """Per-sample losses for a batch: probs (n, K) distributions, labels (n,) ints."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    t = _true_class_probs(probs, labels)
-    if spec.kind == "mse":
-        return (probs * probs).sum(axis=1) - 2.0 * t + 1.0
-    return true_class_loss(spec, t)
+    t, sq = np.empty((2, 1, np.size(labels)))
+    _true_class(np.asarray(probs, dtype=np.float64)[None], np.asarray(labels)[None], [(spec, slice(0, 1))], t, sq)
+    return _losses_from_t(spec, t[0], sq[0])
 
 
 def loss_value(spec: LossSpec, p, y: int) -> float:
@@ -232,24 +245,35 @@ def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
     return _KIND_TABLE[spec.kind].sum_width(k, spec.q)
 
 
-def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
-    """Per-sample gradients d loss / d scores, shape (n, K), given probs = softmax(scores).
+def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+    """Per-sample score gradients in place of the C-contiguous probs (R, n, K) = softmax(scores).
 
-    For the p_y-only losses the chain rule gives |h'(t)| * t * (p - e_y);
-    the clamped t appears in both factors, so CE yields exactly p - e_y.
+    The other arguments are _true_class's, which fills t and sq.  For the
+    p_y-only losses the chain rule gives |h'(t)| * t * (p - e_y); the clamped
+    t appears in both factors, so CE yields exactly p - e_y.  MSE's gradient
+    is v - p * sum(v) with v = (2 p - 2 e_y) * p.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    rows = np.arange(probs.shape[0])
-    if spec.kind == "mse":
-        v = 2.0 * probs
-        v[rows, labels] -= 2.0
-        v *= probs
-        return np.subtract(v, probs * v.sum(axis=1, keepdims=True), out=v)
-    g = probs.copy()
-    g[rows, labels] -= 1.0
-    g *= gradient_weight(spec, _true_class_probs(probs, labels))[:, None]
-    return g
+    flat = _true_class(probs, labels, groups, t, sq)
+    n, k = probs.shape[1:]
+    for spec, members in groups:
+        p, at_y = probs[members], flat[members.start * n : members.stop * n]
+        if spec.kind == "mse":
+            v = 2.0 * p
+            v.reshape(-1)[at_y - members.start * n * k] -= 2.0
+            v *= p
+            p *= v.sum(axis=-1, keepdims=True)
+            np.subtract(v, p, out=p)
+        else:
+            probs.reshape(-1)[at_y] -= 1.0
+            p *= gradient_weight(spec, t[members])[..., None]
+    return probs
+
+
+def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
+    """Per-sample gradients d loss / d scores, shape (n, K), given probs = softmax(scores)."""
+    t = np.empty((1, np.size(labels)))
+    grads = np.array(probs, dtype=np.float64, order="C")[None]  # a copy: the kernel works in place
+    return _score_gradients_into(grads, np.asarray(labels)[None], [(spec, slice(0, 1))], t, None)[0]
 
 
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import LabeledDataset
-from .losses import LossSpec, gradient_weight, loss_values, score_gradients, true_class_loss
+from .losses import LossSpec, _losses_from_t, _score_gradients_into, loss_values
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
 from .simplex import _softmax, softmax
 
@@ -138,25 +138,12 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
 def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Score gradient of each member's mean batch loss, in place of the finite stacked scores (R, n, K).
 
-    groups holds (LossSpec, slice) pairs covering the R axis.  Softmax, t = p_y
-    and p - e_y are computed once for the stack; per member the result is
-    score_gradients(...) / n, bit for bit.  For _batch_mean_losses, t (R, n)
-    receives t and sq (R, n) receives ||p||^2 on MSE rows.
+    Per member this is score_gradients(...) / n, bit for bit; t (R, n) receives
+    t and sq (R, n) ||p||^2 on MSE rows, for _batch_mean_losses.
     """
-    r, n, k = scores.shape
-    probs = _softmax(scores, out=scores)
-    flat = np.arange(r * n) * k + labels.reshape(-1)
-    t[...] = t_step = probs.reshape(-1)[flat].reshape(r, n)
-    for spec, members in groups:
-        if spec.kind == "mse":
-            p, y = probs[members].reshape(-1, k), labels[members].reshape(-1)
-            sq[members] = (p * p).sum(axis=1).reshape(-1, n)
-            probs[members] = score_gradients(spec, p, y).reshape(-1, n, k)
-        else:
-            probs.reshape(-1)[flat[members.start * n : members.stop * n]] -= 1.0
-            probs[members] *= gradient_weight(spec, t_step[members])[..., None]
-    probs /= n
-    return probs
+    delta = _score_gradients_into(_softmax(scores, out=scores), labels, groups, t, sq)
+    delta /= scores.shape[1]
+    return delta
 
 
 def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, groups, batch_size: int) -> np.ndarray:
@@ -167,10 +154,7 @@ def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, groups, batch_size: int) -
     """
     losses = np.empty_like(t)
     for spec, members in groups:
-        if spec.kind == "mse":  # loss_values' ||p||^2 - 2 t + 1
-            losses[members] = sq[members] - 2.0 * t[members] + 1.0
-        else:
-            losses[members] = true_class_loss(spec, t[members])
+        losses[members] = _losses_from_t(spec, t[members], sq[members])
     r, n = t.shape
     full = n - n % batch_size
     means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
@@ -226,22 +210,23 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     return grad_w, grad_b, float(_batch_mean_losses(t, sq, groups, y.size)[0, 0])
 
 
-def _scored_chunks(model: MlpModel, ds: LabeledDataset, chunk: int = 2048):
-    """(argmax hits, scores, labels) per chunk of rows; argmax ties go to the smallest index."""
-    for start in range(0, len(ds), chunk):
-        y = ds.labels[start : start + chunk]
-        scores = _forward(model, ds.features[start : start + chunk])[-1]
+# Rows per evaluation forward pass.  Part of the numeric contract: BLAS may
+# compute a row differently depending on how many rows the call holds.
+EVAL_CHUNK = 2048
+
+
+def _scored_chunks(model: MlpModel, ds: LabeledDataset):
+    """(argmax hits, scores, labels) per EVAL_CHUNK rows; argmax ties go to the smallest index."""
+    for start in range(0, len(ds), EVAL_CHUNK):
+        y = ds.labels[start : start + EVAL_CHUNK]
+        scores = _forward(model, ds.features[start : start + EVAL_CHUNK])[-1]
         yield int((np.argmax(scores, axis=1) == y).sum()), scores, y
 
 
-def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> tuple[float, float]:
-    """(accuracy, mean loss) over a dataset; argmax ties go to the smallest index.
-
-    The chunk is part of the numeric contract: BLAS may compute a row
-    differently depending on how many rows the call holds.
-    """
+def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec) -> tuple[float, float]:
+    """(accuracy, mean loss) over a dataset; argmax ties go to the smallest index."""
     correct, loss_total = 0, 0.0
-    for hits, scores, y in _scored_chunks(model, ds, chunk):
+    for hits, scores, y in _scored_chunks(model, ds):
         correct += hits
         loss_total += float(loss_values(spec, softmax(scores), y).sum())
     return correct / len(ds), loss_total / len(ds)

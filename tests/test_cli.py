@@ -85,9 +85,12 @@ def test_distance_output_matches_library(capsys):
     assert abs(got["4*asin(d_h/2)"] - got["d_fr"]) < 1e-9
 
 
-def test_distance_rejects_bad_inputs():
+def test_distance_rejects_bad_inputs(capsys):
     assert cli.run(["distance", "--p", "0.5,0.4", "--q", "0.5,0.5"]) == 2  # sums to 0.9
     assert cli.run(["distance", "--p", "0.5,0.5", "--q", "0.2,0.3,0.5"]) == 2  # length
+    capsys.readouterr()
+    assert cli.run(["distance", "--p", "", "--q", "0.5,0.5"]) == 2
+    assert "--p must list at least one value" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- gen-data

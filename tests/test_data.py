@@ -28,8 +28,11 @@ def test_dataset_validation_and_immutability():
         LabeledDataset(np.zeros((0, 2)), np.array([], dtype=np.int64), 2)
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), 2)
-    with pytest.raises(ValueError):
-        LabeledDataset(np.full((2, 2), np.nan), np.array([0, 1]), 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        feats = np.zeros((2, 2))
+        feats[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LabeledDataset(feats, np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 1)
 
@@ -124,6 +127,12 @@ def _traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dataset_validation_allocates_no_feature_sized_mask():
+    feats = make_rng(0, STREAM_TRAIN).standard_normal((4800, 784))
+    _, peak = _traced_peak(LabeledDataset, feats, np.zeros(4800, dtype=np.int64), 10)
+    assert peak < feats.nbytes / 64  # an isfinite mask would be feats.nbytes / 8
 
 
 def _reference_synthetic(spec):

@@ -1,14 +1,19 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fisherrao.losses import (
     CE,
+    CLAMP_EPS,
     FR,
     HELLINGER,
     MAE,
     MSE,
     LossSpec,
+    gradient_weight,
     h_prime_abs,
     loss_gradient_scores,
     loss_sum_over_classes,
@@ -17,6 +22,7 @@ from fisherrao.losses import (
     q_logarithm,
     qce,
     score_gradients,
+    _KIND_TABLE,
 )
 from fisherrao.rng import make_rng
 from fisherrao.simplex import sample_simplex, softmax
@@ -192,7 +198,69 @@ def test_h_prime_ordering_matches_chain():
     assert np.all(ce >= fr) and np.all(fr >= hel) and np.all(hel >= mae)
 
 
+# t on [CLAMP_EPS, 1]: both endpoints, anywhere, and the last ulps below 1,
+# where FR's |h'(t)| has its removable singularity
+weight_ts = st.one_of(
+    st.sampled_from((CLAMP_EPS, 1.0)),
+    st.floats(CLAMP_EPS, 1.0),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(weight_ts, min_size=1, max_size=40))
+def test_gradient_weight_ordered_mae_hellinger_fr_ce(ts):
+    t = np.array(ts)
+    mae, hel, fr, ce = (gradient_weight(spec, t) for spec in (MAE, HELLINGER, FR, CE))
+    assert np.all(mae <= hel) and np.all(hel <= fr) and np.all(fr <= ce) and np.all(ce <= 1.0)
+
+
 # ---------------------------------------------------------------- gradients
+
+
+def _reference_loss_values(spec, probs, labels):
+    """The per-sample formulas written out with a 2-D gather, apart from the stacked kernel."""
+    t = probs[np.arange(len(labels)), labels]
+    if spec.kind == "mse":
+        return (probs * probs).sum(axis=1) - 2.0 * t + 1.0
+    return _KIND_TABLE[spec.kind].h(t, spec.q)
+
+
+def _reference_score_gradients(spec, probs, labels):
+    rows = np.arange(len(labels))
+    if spec.kind == "mse":
+        v = 2.0 * probs
+        v[rows, labels] -= 2.0
+        v *= probs
+        return v - probs * v.sum(axis=1, keepdims=True)
+    g = probs.copy()
+    g[rows, labels] -= 1.0
+    return g * gradient_weight(spec, probs[rows, labels])[:, None]
+
+
+@st.composite
+def batches(draw):
+    n, k = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    # scores of +-700 drive t to 1 and below CLAMP_EPS
+    values = st.one_of(st.sampled_from((-700.0, 700.0, 0.0, -40.0, 40.0)), st.floats(-700.0, 700.0))
+    scores = draw(arrays(np.float64, (n, k), elements=values))
+    labels = draw(arrays(np.int64, (n,), elements=st.integers(0, k - 1)))
+    spec = draw(st.one_of(st.sampled_from(ALL_KINDS + [qce(0.0)]), st.floats(0.0, 1.0).map(qce)))
+    return softmax(scores), labels, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_one_member_kernel_matches_the_per_sample_formulas_bit_for_bit(batch):
+    probs, labels, spec = batch
+    values, grads = _reference_loss_values(spec, probs, labels), _reference_score_gradients(spec, probs, labels)
+    before = probs.copy()
+    probs.flags.writeable = labels.flags.writeable = False  # the kernel works in place, but not on its inputs
+    assert loss_values(spec, probs, labels).tobytes() == values.tobytes()
+    assert score_gradients(spec, probs, labels).tobytes() == grads.tobytes()
+    assert probs.tobytes() == before.tobytes()
+
 
 def test_gradient_examples():
     g = loss_gradient_scores(CE, np.log([0.7, 0.2, 0.1]), 0)
