@@ -20,17 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .losses import KINDS, LossSpec, fr_sum_bounds, loss_sum_range_width
-from .noise import alpha_to_eta
+from .noise import alpha_to_eta, check_regime
 
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
-
-
-def _check_regime(num_classes: int, eta: float) -> None:
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    limit = (num_classes - 1) / num_classes
-    if not 0.0 <= eta < limit:
-        raise ValueError(f"eta must lie in [0, {limit}) for K = {num_classes}, got {eta}")
 
 
 def fr_critical_value(num_classes: int, j: int) -> float:
@@ -50,7 +42,7 @@ def fr_critical_value(num_classes: int, j: int) -> float:
 
 def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
     """Upper bound A(K, eta) on the noisy-risk gap; +inf for CE-like losses."""
-    _check_regime(num_classes, eta)
+    check_regime(num_classes, eta)
     width = loss_sum_range_width(spec, num_classes)
     if width is None:
         return math.inf
@@ -60,11 +52,14 @@ def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
 
 def bound_B(spec: LossSpec, num_classes: int, eta: float) -> float:
     """Lower bound B(K, eta) on the clean-risk gap; -inf for CE-like losses."""
-    _check_regime(num_classes, eta)
+    check_regime(num_classes, eta)
     width = loss_sum_range_width(spec, num_classes)
     if width is None:
         return -math.inf
-    return -eta * width / (num_classes - 1 - eta * num_classes)
+    denominator = num_classes - 1 - eta * num_classes
+    if denominator <= 0.0:  # the largest eta below (K-1)/K can round it to 0; B's limit there
+        return -math.inf if width else -0.0
+    return -eta * width / denominator
 
 
 @dataclass(frozen=True)

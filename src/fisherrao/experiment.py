@@ -12,6 +12,7 @@ epoch's accuracy is logged alongside.
 """
 
 import os
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args, get_origin
 
@@ -71,8 +72,11 @@ class ExperimentSpec:
             raise ValueError(f"dataset must be synthetic, mnist, or csv, got {self.dataset!r}")
         if not self.losses or not self.etas or not self.seeds:
             raise ValueError("losses, etas, and seeds must all be nonempty")
-        if len(set(map(str, self.losses))) != len(self.losses):
-            raise ValueError("duplicate loss entries")
+        cells = [run_id(loss, eta, seed) for loss in self.losses for eta in self.etas for seed in self.seeds]
+        for what, values in (("run_id", cells), ("lr_grid entry", self.lr_grid)):
+            repeated = [value for value, count in Counter(values).items() if count > 1]
+            if repeated:
+                raise ValueError(f"duplicate {what} {repeated[0]!r}; losses, etas, seeds and lr_grid must not repeat")
         if self.dataset == "mnist" and None in (
             self.train_images, self.train_labels, self.test_images, self.test_labels
         ):

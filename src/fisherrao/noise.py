@@ -15,6 +15,15 @@ from numpy.typing import NDArray
 from .rng import STREAM_NOISE, make_rng
 
 
+def check_regime(num_classes: int, eta: float) -> None:
+    """Raise ValueError unless K >= 2 and 0 <= eta < (K-1)/K, the regime of the noise law and the bounds."""
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    limit = (num_classes - 1) / num_classes
+    if not 0.0 <= eta < limit:
+        raise ValueError(f"eta must lie in [0, (K-1)/K) = [0, {limit}) for K = {num_classes}, got {eta}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise rate eta, corruption seed, and class count K."""
@@ -24,11 +33,7 @@ class NoiseSpec:
     num_classes: int
 
     def __post_init__(self):
-        k = self.num_classes
-        if k < 2:
-            raise ValueError(f"num_classes must be >= 2, got {k}")
-        if not 0.0 <= self.eta < (k - 1) / k:
-            raise ValueError(f"eta must lie in [0, (K-1)/K) = [0, {(k - 1) / k}), got {self.eta}")
+        check_regime(self.num_classes, self.eta)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -67,10 +72,6 @@ def alpha_to_eta(alpha: float, num_classes: int) -> float:
 
 
 def eta_to_alpha(eta: float, num_classes: int) -> float:
-    """Inverse of ``alpha_to_eta``."""
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    alpha = eta * num_classes / (num_classes - 1)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"eta {eta} outside [0, (K-1)/K) for K = {num_classes}")
-    return alpha
+    """Inverse of ``alpha_to_eta``; the largest eta of the regime can round to alpha = 1.0."""
+    check_regime(num_classes, eta)
+    return eta * num_classes / (num_classes - 1)

@@ -27,11 +27,7 @@ def as_distribution(p, name: str = "p") -> NDArray[np.float64]:
     non-negative up to -1e-12 (tiny negatives from upstream rounding are
     clamped to zero), summing to 1 within 1e-9.
     """
-    arr = np.array(p, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-D vector with >= 2 entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
+    arr = as_scores(p, name)
     if np.any(arr < -NEG_EPS):
         raise ValueError(f"{name} has negative entries (min {arr.min():.3e})")
     np.maximum(arr, 0.0, out=arr)

@@ -14,6 +14,7 @@ from fisherrao.bounds import (
     fr_sum_bounds,
 )
 from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, qce
+from fisherrao.noise import NoiseSpec, eta_to_alpha
 
 FINITE_KINDS = [MSE, qce(0.3), qce(0.7), FR, HELLINGER]
 
@@ -150,6 +151,25 @@ def test_vanishing_limits_along_alpha():
 def test_b_blows_up_at_regime_edge():
     eta = 0.9999 * (1 - 1 / 10)
     assert bound_B(FR, 10, eta) < -1000
+
+
+def test_largest_accepted_eta_never_raises():
+    """At the largest eta the regime accepts, K - 1 - eta K can round to 0 (4381 of these K)."""
+    zero_denominators = 0
+    for k in range(2, 20_001):
+        eta = float(np.nextafter((k - 1) / k, 0.0))
+        NoiseSpec(eta, 0, k)
+        assert eta_to_alpha(eta, k) <= 1.0
+        zero_denominators += k - 1 - eta * k == 0.0
+        for spec in (*FINITE_KINDS, MAE, qce(0.0)):
+            assert math.isfinite(bound_A(spec, k, eta))
+            assert bound_B(spec, k, eta) <= 0.0
+    assert zero_denominators > 0
+    eta = float(np.nextafter(0.9, 0.0))
+    assert 10 - 1 - eta * 10 == 0.0
+    assert bound_B(FR, 10, eta) == -math.inf and bound_B(MSE, 10, eta) == -math.inf
+    assert math.copysign(1.0, bound_B(MAE, 10, eta)) == -1.0 and bound_B(MAE, 10, eta) == 0.0
+    assert bound_B(qce(0.0), 10, eta) == 0.0
 
 
 def test_bounds_result_struct():

@@ -64,6 +64,19 @@ def test_bounds_rejects_alpha_one(tmp_path, monkeypatch):
     assert cli.run(["bounds", "--sweep", "K", "--alpha", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--sweep", "alpha", "--K", "10", "--alpha-max", "0.9999999999999999", "--points", "2"],
+    ["--sweep", "K", "--alpha", "0.9999999999999999", "--K-grid", "10"],
+])
+def test_bounds_at_regime_edge_reports_infinite_b(tmp_path, args):
+    out = tmp_path / "edge.csv"
+    assert cli.run(["bounds", *args, "--out", str(out)]) == 0  # eta = 0.8999999999999999, K - 1 - eta K == 0
+    rows = _read_rows(out)
+    assert float(rows[-1]["eta"]) == 0.8999999999999999
+    assert float(next(r for r in reversed(rows) if r["loss"] == "fr")["B"]) == -math.inf
+    assert float(next(r for r in reversed(rows) if r["loss"] == "mae")["B"]) == 0.0
+
+
 def test_bounds_unwritable_out_is_data_error(tmp_path):
     out = tmp_path / "missing_dir" / "x.csv"
     assert cli.run(["bounds", "--sweep", "alpha", "--out", str(out)]) == 3
@@ -230,6 +243,37 @@ def test_grid_lr_then_train_from_table(tmp_path, capsys):
     out = tmp_path / "runs"
     assert cli.run(["train", "--config", str(tmp_path / "exp.cfg"), "--out-dir", str(out)]) == 0
     assert (out / "summary.csv").exists()
+
+
+def test_grid_lr_all_diverged_exits_4(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", seeds="0", lr_grid="1e300")
+    table_path = tmp_path / "lr.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.run(["grid-lr", "--config", str(cfg), "--out", str(table_path)])
+    assert code == 4
+    assert "some grid runs diverged" in capsys.readouterr().err
+    assert [row["final_test_acc"] for row in _read_rows(table_path)] == ["-1.0"]
+
+
+def test_grid_lr_without_lr_grid_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg")
+    assert cli.run(["grid-lr", "--config", str(cfg), "--out", str(tmp_path / "lr.csv")]) == 2
+    assert "lr_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "grid-lr"])
+@pytest.mark.parametrize("over,named", [
+    ({"seeds": "3,3"}, "'ce-eta0-seed3'"),
+    ({"etas": "0.4,0.4"}, "'ce-eta0.4-seed0'"),
+    ({"lr_grid": "0.1,0.1"}, "lr_grid entry 0.1"),
+], ids=["seeds", "etas", "lr_grid"])
+def test_repeated_axis_entry_is_usage_error(tmp_path, capsys, command, over, named):
+    cfg = _write_config(tmp_path / "exp.cfg", **{"lr_grid": "0.1,0.3", **over})
+    assert cli.run([command, "--config", str(cfg), "--out" if command == "grid-lr" else "--out-dir",
+                    str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate" in err and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):

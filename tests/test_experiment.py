@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,6 +138,15 @@ def test_spec_validation():
         _tiny_spec(losses=())
     with pytest.raises(ValueError, match="duplicate"):
         _tiny_spec(losses=(CE, CE))
+    # every (loss, eta, seed) cell needs its own run_id, and grid rates must differ
+    for over, named in [
+        ({"seeds": (3, 3)}, "run_id 'ce-eta0-seed3'"),
+        ({"etas": (0.4, 0.4)}, "run_id 'ce-eta0.4-seed0'"),
+        ({"etas": (0.1, 0.1000001)}, "run_id 'ce-eta0.1-seed0'"),  # equal under :g
+        ({"lr_grid": (0.1, 0.3, 0.1)}, "lr_grid entry 0.1"),
+    ]:
+        with pytest.raises(ValueError, match=f"duplicate {re.escape(named)}"):
+            _tiny_spec(**over)
     with pytest.raises(ValueError, match="mnist"):
         _tiny_spec(dataset="mnist")
     with pytest.raises(ValueError, match="csv"):

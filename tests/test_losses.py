@@ -62,6 +62,9 @@ def test_q_logarithm():
     npt.assert_allclose(q_logarithm(4.0, 0.5), 2.0, rtol=0, atol=1e-15)
     # within 1e-12 of q = 1 routes to the ln branch
     npt.assert_array_equal(q_logarithm(0.3, 1.0 - 1e-13), np.log(0.3))
+    # q = 0 is exactly x - 1, bit for bit
+    x = np.array([1e-300, 0.3, 1.0, 7.5, 1e300])
+    assert q_logarithm(x, 0.0).tobytes() == (x - 1.0).tobytes()
     with pytest.raises(ValueError):
         q_logarithm(0.0, 0.5)
     with pytest.raises(ValueError):
