@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .losses import KINDS, LossSpec, fr_sum_bounds, loss_sum_range_width
 from .noise import alpha_to_eta, check_regime
+from .simplex import check_num_classes
 
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
 
@@ -33,8 +34,7 @@ def fr_critical_value(num_classes: int, j: int) -> float:
     F = (K - j) pi^2/4 + j arccos(1/sqrt(j))^2.  j = K recovers the lower
     bound of ``fr_sum_bounds``, j = 1 the upper bound.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    check_num_classes(num_classes)
     if not 1 <= j <= num_classes:
         raise IndexError(f"j must lie in [1, {num_classes}], got {j}")
     return (num_classes - j) * math.pi**2 / 4.0 + j * math.acos(1.0 / math.sqrt(j)) ** 2

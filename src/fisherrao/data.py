@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .rng import STREAM_TEST, STREAM_TRAIN, STREAM_VERTICES, make_rng
+from .simplex import check_labels, check_num_classes
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -100,10 +101,8 @@ class LabeledDataset:
             raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} samples")
         if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):  # no N x m bool mask
             raise ValueError("features must be finite")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ValueError(f"labels out of range [0, {self.num_classes})")
+        check_num_classes(self.num_classes)
+        check_labels(labels, self.num_classes)
         # Freeze a view, never the caller's array; an array already frozen is
         # kept as is, so with_labels shares its features object.
         for name, arr in (("features", feats), ("labels", labels)):
@@ -146,8 +145,7 @@ class SyntheticSpec:
             raise ValueError("n_train and n_test must be positive")
         if self.num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {self.num_features}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_num_classes(self.num_classes)
         if self.num_classes > 2 ** min(self.num_features, 20):
             raise ValueError(
                 f"num_classes {self.num_classes} exceeds the {2 ** min(self.num_features, 20)} "

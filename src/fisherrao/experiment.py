@@ -72,6 +72,7 @@ class ExperimentSpec:
             raise ValueError(f"dataset must be synthetic, mnist, or csv, got {self.dataset!r}")
         if not self.losses or not self.etas or not self.seeds:
             raise ValueError("losses, etas, and seeds must all be nonempty")
+        object.__setattr__(self, "etas", tuple(eta + 0.0 for eta in self.etas))  # -0.0 is the cell of eta 0
         cells = [run_id(loss, eta, seed) for loss in self.losses for eta in self.etas for seed in self.seeds]
         for what, values in (("run_id", cells), ("lr_grid entry", self.lr_grid)):
             repeated = [value for value, count in Counter(values).items() if count > 1]

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .simplex import as_distribution, as_scores, softmax
+from .simplex import as_distribution, as_scores, check_labels, check_num_classes, softmax
 
 # Probabilities are clamped to at least this before logs / negative powers.
 CLAMP_EPS = 1e-12
@@ -46,8 +46,7 @@ def fr_sum_bounds(num_classes: int) -> tuple[float, float]:
     Returns (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)); the minimum is attained
     at the uniform distribution, the maximum at the vertices.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    check_num_classes(num_classes)
     k = num_classes
     lower = k * math.acos(1.0 / math.sqrt(k)) ** 2
     upper = (math.pi**2 / 4.0) * (k - 1)
@@ -191,7 +190,7 @@ def _true_class(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq
     sq may be None where no caller reads it.
     """
     r, n, k = probs.shape
-    flat = np.ravel_multi_index((np.arange(r * n), labels.reshape(-1)), (r * n, k))  # raises on a bad label
+    flat = np.arange(0, r * n * k, k) + check_labels(labels, k).reshape(-1)
     t[...] = probs.reshape(-1)[flat].reshape(r, n)
     for spec, members in groups:
         if spec.kind == "mse" and sq is not None:
@@ -216,8 +215,6 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 def loss_value(spec: LossSpec, p, y: int) -> float:
     """Loss of a single predicted distribution p against true label y."""
     p = as_distribution(p)
-    if not 0 <= int(y) < p.size:
-        raise ValueError(f"label {y} out of range for {p.size} classes")
     return float(loss_values(spec, p[None, :], np.array([int(y)]))[0])
 
 
@@ -278,10 +275,7 @@ def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:
     """Gradient of the loss with respect to a single raw score vector."""
-    scores = as_scores(scores)
-    if not 0 <= int(y) < scores.size:
-        raise ValueError(f"label {y} out of range for {scores.size} classes")
-    p = softmax(scores)
+    p = softmax(as_scores(scores))
     return score_gradients(spec, p[None, :], np.array([int(y)]))[0]
 
 

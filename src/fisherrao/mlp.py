@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .data import LabeledDataset
 from .losses import LossSpec, _losses_from_t, _score_gradients_into, loss_values
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
-from .simplex import _softmax, softmax
+from .simplex import _softmax, check_num_classes, softmax
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class MlpConfig:
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
-        if sizes[-1] < 2:
-            raise ValueError(f"output layer must have >= 2 classes, got {sizes[-1]}")
+        check_num_classes(sizes[-1])
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -195,8 +194,8 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     y = np.asarray(labels)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    if y.shape != x.shape[:1] or np.any((y < 0) | (y >= model.weights[-1].shape[1])):
-        raise ValueError(f"labels must be {x.shape[0]} class indices in [0, {model.weights[-1].shape[1]})")
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"labels must be {x.shape[0]} class indices, got shape {y.shape}")
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):

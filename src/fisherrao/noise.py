@@ -13,12 +13,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .rng import STREAM_NOISE, make_rng
+from .simplex import check_labels, check_num_classes
 
 
 def check_regime(num_classes: int, eta: float) -> None:
     """Raise ValueError unless K >= 2 and 0 <= eta < (K-1)/K, the regime of the noise law and the bounds."""
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    check_num_classes(num_classes)
     limit = (num_classes - 1) / num_classes
     if not 0.0 <= eta < limit:
         raise ValueError(f"eta must lie in [0, (K-1)/K) = [0, {limit}) for K = {num_classes}, got {eta}")
@@ -50,9 +50,7 @@ def corrupt_labels(labels, spec: NoiseSpec) -> NDArray[np.int64]:
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
     k = spec.num_classes
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise IndexError(f"labels out of range [0, {k})")
-    labels = labels.astype(np.int64)
+    labels = check_labels(labels, k)
     rng = make_rng(spec.seed, STREAM_NOISE)
     # Both arrays are drawn unconditionally so the flip pattern for a given
     # seed does not depend on eta-dependent branching.
@@ -63,12 +61,11 @@ def corrupt_labels(labels, spec: NoiseSpec) -> NDArray[np.int64]:
 
 
 def alpha_to_eta(alpha: float, num_classes: int) -> float:
-    """eta = alpha (1 - 1/K); maps [0, 1) onto [0, (K-1)/K)."""
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    """eta = alpha (1 - 1/K); maps [0, 1) onto [0, (K-1)/K), rounding down where alpha near 1 would reach the limit."""
+    check_num_classes(num_classes)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha * (1.0 - 1.0 / num_classes)
+    return min(alpha * (1.0 - 1.0 / num_classes), float(np.nextafter((num_classes - 1) / num_classes, 0.0)))
 
 
 def eta_to_alpha(eta: float, num_classes: int) -> float:

@@ -47,14 +47,25 @@ def as_scores(s, name: str = "scores") -> NDArray[np.float64]:
     return arr
 
 
-def one_hot(label: int, num_classes: int) -> NDArray[np.float64]:
-    """Vertex of the simplex: e_label in Delta^{num_classes - 1}."""
+def check_num_classes(num_classes: int) -> None:
+    """Raise ValueError unless K >= 2: the class count of every simplex, loss, bound and noise law."""
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if not 0 <= int(label) < num_classes:
-        raise ValueError(f"label {label} out of range for {num_classes} classes")
+
+
+def check_labels(labels, num_classes: int) -> NDArray[np.int64]:
+    """Return labels as int64, or raise ValueError unless every one lies in [0, num_classes)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels out of range [0, {num_classes})")
+    return labels
+
+
+def one_hot(label: int, num_classes: int) -> NDArray[np.float64]:
+    """Vertex of the simplex: e_label in Delta^{num_classes - 1}."""
+    check_num_classes(num_classes)
     e = np.zeros(num_classes, dtype=np.float64)
-    e[int(label)] = 1.0
+    e[int(check_labels(label, num_classes))] = 1.0
     return e
 
 

@@ -77,6 +77,14 @@ def test_bounds_at_regime_edge_reports_infinite_b(tmp_path, args):
     assert float(next(r for r in reversed(rows) if r["loss"] == "mae")["B"]) == 0.0
 
 
+def test_bounds_alpha_near_one_stays_below_the_limit(tmp_path):
+    # at K = 3, 0.9999999999999999 * (1 - 1/3) rounds to 2/3 itself
+    out = tmp_path / "edge.csv"
+    assert cli.run(["bounds", "--sweep", "alpha", "--K", "3", "--alpha-max", "0.9999999999999999",
+                    "--points", "2", "--out", str(out)]) == 0
+    assert float(_read_rows(out)[-1]["eta"]) == 0.6666666666666665
+
+
 def test_bounds_unwritable_out_is_data_error(tmp_path):
     out = tmp_path / "missing_dir" / "x.csv"
     assert cli.run(["bounds", "--sweep", "alpha", "--out", str(out)]) == 3
@@ -266,7 +274,8 @@ def test_grid_lr_without_lr_grid_is_usage_error(tmp_path, capsys):
     ({"seeds": "3,3"}, "'ce-eta0-seed3'"),
     ({"etas": "0.4,0.4"}, "'ce-eta0.4-seed0'"),
     ({"lr_grid": "0.1,0.1"}, "lr_grid entry 0.1"),
-], ids=["seeds", "etas", "lr_grid"])
+    ({"etas": "0.0,-0.0"}, "'ce-eta0-seed0'"),
+], ids=["seeds", "etas", "lr_grid", "signed_zero_eta"])
 def test_repeated_axis_entry_is_usage_error(tmp_path, capsys, command, over, named):
     cfg = _write_config(tmp_path / "exp.cfg", **{"lr_grid": "0.1,0.3", **over})
     assert cli.run([command, "--config", str(cfg), "--out" if command == "grid-lr" else "--out-dir",

@@ -38,9 +38,9 @@ def test_deterministic_and_pure():
 
 
 def test_labels_out_of_range_rejected():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         corrupt_labels(np.array([0, 4]), NoiseSpec(0.1, 1, 4))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         corrupt_labels(np.array([-1, 0]), NoiseSpec(0.1, 1, 4))
 
 
@@ -91,3 +91,11 @@ def test_alpha_eta_conversions():
         alpha_to_eta(-0.2, 5)
     with pytest.raises(ValueError):
         eta_to_alpha(0.9, 2)
+
+
+def test_alpha_just_below_one_stays_in_regime():
+    # alpha (1 - 1/K) rounds to (K-1)/K itself for K = 3, 7, 19, ...
+    for k in range(2, 20_001):
+        eta = alpha_to_eta(0.9999999999999999, k)
+        assert eta < (k - 1) / k, k
+        assert eta_to_alpha(eta, k) <= 1.0
