@@ -94,7 +94,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.ascontiguousarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError(f"features must be a nonempty (N, m) matrix, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
@@ -102,7 +102,7 @@ class LabeledDataset:
         if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):  # no N x m bool mask
             raise ValueError("features must be finite")
         check_num_classes(self.num_classes)
-        check_labels(labels, self.num_classes)
+        labels = check_labels(labels, self.num_classes)
         # Freeze a view, never the caller's array; an array already frozen is
         # kept as is, so with_labels shares its features object.
         for name, arr in (("features", feats), ("labels", labels)):

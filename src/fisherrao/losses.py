@@ -215,7 +215,7 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 def loss_value(spec: LossSpec, p, y: int) -> float:
     """Loss of a single predicted distribution p against true label y."""
     p = as_distribution(p)
-    return float(loss_values(spec, p[None, :], np.array([int(y)]))[0])
+    return float(loss_values(spec, p[None, :], np.array([y]))[0])
 
 
 def h_prime_abs(spec: LossSpec, t) -> NDArray[np.float64]:
@@ -276,7 +276,7 @@ def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:
     """Gradient of the loss with respect to a single raw score vector."""
     p = softmax(as_scores(scores))
-    return score_gradients(spec, p[None, :], np.array([int(y)]))[0]
+    return score_gradients(spec, p[None, :], np.array([y]))[0]
 
 
 def loss_sum_over_classes(spec: LossSpec, p) -> float:

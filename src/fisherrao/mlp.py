@@ -86,8 +86,8 @@ class TrainingDiverged(RuntimeError):
 
     Raised by batch_grad on non-finite scores and by train on non-finite
     scores in a step or parameters at the end of an epoch; train_lockstep
-    returns one per diverged member.  ``epoch`` is the epoch that failed and
-    ``records`` the epochs completed before it.
+    returns one per diverged member instead of raising.  ``epoch`` is the
+    epoch that failed and ``records`` the epochs completed before it.
     """
 
     def __init__(self, message: str, epoch: int, records: list[TrainRecord]):
@@ -135,10 +135,10 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
 
 
 def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Score gradient of each member's mean batch loss, in place of the finite stacked scores (R, n, K).
+    """Score gradient of each member's mean batch loss, in place of the stacked scores (R, n, K).
 
-    Per member this is score_gradients(...) / n, bit for bit; t (R, n) receives
-    t and sq (R, n) ||p||^2 on MSE rows, for _batch_mean_losses.
+    Per member this is score_gradients(...) / n, bit for bit, whatever the others' scores hold;
+    t (R, n) receives t and sq (R, n) ||p||^2 on MSE rows, for _batch_mean_losses.
     """
     delta = _score_gradients_into(_softmax(scores, out=scores), labels, groups, t, sq)
     delta /= scores.shape[1]
@@ -164,13 +164,6 @@ def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
     """(spec, slice of member positions) per run of consecutive equal losses."""
     starts = [pos for pos, spec in enumerate(specs) if pos == 0 or spec != specs[pos - 1]]
     return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
-
-
-def _bind(models: list[MlpModel], live: np.ndarray, stack: MlpModel) -> None:
-    """Point each live member's model at its slices of the stacked parameters."""
-    for pos, i in enumerate(live):
-        models[i].weights[:] = [w[pos] for w in stack.weights]
-        models[i].biases[:] = [b[pos] for b in stack.biases]
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -257,9 +250,10 @@ def train_lockstep(
     in the epoch it appears: if g holds an inf or nan, lr * g is inf or nan
     when lr > 0 and nan when lr = 0, so w - lr * g is not finite either, and
     a parameter that is not finite stays so.  A diverged member gets a
-    TrainingDiverged with that epoch and its completed records and leaves
-    the group; the others go on unchanged to the bit.  Without
-    record_train_acc, epochs skip the train-accuracy pass (train_acc None).
+    TrainingDiverged with that epoch and its completed records, and its model
+    a copy of its parameters then; it stays in the stack, masked, and the
+    others go on unchanged to the bit, as every stacked operation works per
+    member.  Without record_train_acc, train_acc is None (no accuracy pass).
     """
     if not models or not len(models) == len(train_sets) == len(configs):
         raise ValueError("need one train set and one config per model, and at least one model")
@@ -276,65 +270,59 @@ def train_lockstep(
         raise ValueError("train and test feature dimensions differ")
     n, (_, batch_size, epochs) = len(features), shared
     outcomes: list = [[] for _ in models]
-    live = np.arange(len(models))  # position in the stack -> member index
+    alive = np.ones(len(models), dtype=bool)
     stack = MlpModel([np.stack(ws) for ws in zip(*(m.weights for m in models))],
                      [np.stack(bs) for bs in zip(*(m.biases for m in models))])
-    _bind(models, live, stack)
-    lr = np.array([c.learning_rate for c in configs])
+    for pos, model in enumerate(models):
+        model.weights[:] = [w[pos] for w in stack.weights]
+        model.biases[:] = [b[pos] for b in stack.biases]
+    lr = np.array([c.learning_rate for c in configs])[:, None, None]
     shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
     groups = _loss_groups([c.loss for c in configs])
     t_buf, sq_buf = np.empty((2, len(models), n))  # each step's t and ||p||^2, for the epoch's loss
     batch_sizes = np.diff([*range(0, n, batch_size), n])
 
-    def drop(bad: np.ndarray, epoch: int, message: str) -> np.ndarray:
-        """Record the bad members as diverged and remove them from the stack; returns the keep mask."""
-        nonlocal live, stack, lr, groups, t_buf, sq_buf
-        for i in live[bad]:
+    def diverge(bad: np.ndarray, epoch: int, message: str) -> None:
+        """Record the bad members as diverged and detach their models; they stay in the stack, masked."""
+        for i in np.flatnonzero(bad):
             models[i].weights[:] = [w.copy() for w in models[i].weights]
             models[i].biases[:] = [b.copy() for b in models[i].biases]
             outcomes[i] = TrainingDiverged(message, epoch=epoch, records=outcomes[i])
-        keep = ~bad
-        live, lr, t_buf, sq_buf = live[keep], lr[keep], t_buf[keep], sq_buf[keep]
-        stack = MlpModel([w[keep] for w in stack.weights], [b[keep] for b in stack.biases])
-        shuffles[:] = [rng for rng, k in zip(shuffles, keep) if k]
-        _bind(models, live, stack)
-        groups = _loss_groups([configs[i].loss for i in live])
-        return keep
+        alive[bad] = False
 
-    for epoch in range(1, epochs + 1):
-        orders = np.stack([rng.permutation(n) for rng in shuffles])
-        epoch_labels = np.stack([train_sets[i].labels[order] for i, order in zip(live, orders)])
-        for start in range(0, n, batch_size):
-            cols = slice(start, start + batch_size)
-            acts = _forward(stack, features[orders[:, cols]])
-            if not np.all(np.isfinite(acts[-1])):
-                keep = drop(~np.isfinite(acts[-1]).all(axis=(1, 2)), epoch, "non-finite scores in forward pass")
-                if not live.size:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # diverged members go on with inf and nan
+        for epoch in range(1, epochs + 1):
+            orders = np.stack([rng.permutation(n) for rng in shuffles])
+            epoch_labels = np.stack([ds.labels[order] for ds, order in zip(train_sets, orders)])
+            for start in range(0, n, batch_size):
+                cols = slice(start, start + batch_size)
+                acts = _forward(stack, features[orders[:, cols]])
+                finite = np.isfinite(acts[-1]).all(axis=(1, 2))
+                if not finite[alive].all():
+                    diverge(alive & ~finite, epoch, "non-finite scores in forward pass")
+                    if not alive.any():
+                        return outcomes
+                delta = _loss_layer(acts[-1], epoch_labels[:, cols], groups, t_buf[:, cols], sq_buf[:, cols])
+                for layer, gw, gb in _backward(stack, acts, delta):
+                    stack.weights[layer] -= np.multiply(gw, lr, out=gw)
+                    stack.biases[layer] -= np.multiply(gb, lr[:, 0], out=gb)
+            del acts, delta, gw, gb  # the last step's temporaries, before evaluation allocates its own
+            finite = np.ones(len(models), dtype=bool)
+            for a in (*stack.weights, *stack.biases):
+                finite &= np.isfinite(a).reshape(len(models), -1).all(axis=1)
+            if not finite[alive].all():
+                diverge(alive & ~finite, epoch, "non-finite parameters after update")
+                if not alive.any():
                     return outcomes
-                acts = [a[keep] for a in acts]
-                orders, epoch_labels = orders[keep], epoch_labels[keep]
-            delta = _loss_layer(acts[-1], epoch_labels[:, cols], groups, t_buf[:, cols], sq_buf[:, cols])
-            lr_w = lr[:, None, None]
-            for layer, gw, gb in _backward(stack, acts, delta):
-                stack.weights[layer] -= np.multiply(gw, lr_w, out=gw)
-                stack.biases[layer] -= np.multiply(gb, lr_w[:, 0], out=gb)
-        del acts, delta, gw, gb  # the last step's temporaries, before evaluation allocates its own
-        finite = np.ones(live.size, dtype=bool)
-        for a in (*stack.weights, *stack.biases):
-            finite &= np.isfinite(a).reshape(live.size, -1).all(axis=1)
-        if not finite.all():
-            drop(~finite, epoch, "non-finite parameters after update")
-            if not live.size:
-                return outcomes
-        loss_sum = np.zeros(live.size)
-        for batch_loss in (_batch_mean_losses(t_buf, sq_buf, groups, batch_size) * batch_sizes).T:
-            loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
-        for pos, i in enumerate(live):
-            train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None
-            test_acc = None
-            if test_ds is not None and (eval_test_every_epoch or epoch == epochs):
-                test_acc = sum(h for h, _, _ in _scored_chunks(models[i], test_ds)) / len(test_ds)
-            outcomes[i].append(TrainRecord(epoch, float(loss_sum[pos]) / n, train_acc, test_acc))
+            loss_sum = np.zeros(len(models))
+            for batch_loss in (_batch_mean_losses(t_buf, sq_buf, groups, batch_size) * batch_sizes).T:
+                loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
+            for i in np.flatnonzero(alive):
+                train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None
+                test_acc = None
+                if test_ds is not None and (eval_test_every_epoch or epoch == epochs):
+                    test_acc = sum(h for h, _, _ in _scored_chunks(models[i], test_ds)) / len(test_ds)
+                outcomes[i].append(TrainRecord(epoch, float(loss_sum[i]) / n, train_acc, test_acc))
     return outcomes
 
 

@@ -54,11 +54,13 @@ def check_num_classes(num_classes: int) -> None:
 
 
 def check_labels(labels, num_classes: int) -> NDArray[np.int64]:
-    """Return labels as int64, or raise ValueError unless every one lies in [0, num_classes)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Return labels as int64, or raise ValueError unless every one is a whole number in [0, num_classes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu" and not np.all(np.floor(labels) == labels):  # NaN fails, +-inf is out of range
+        raise ValueError("labels must be whole numbers")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels out of range [0, {num_classes})")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def one_hot(label: int, num_classes: int) -> NDArray[np.float64]:

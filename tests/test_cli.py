@@ -208,8 +208,7 @@ def test_train_divergence_exit_code(tmp_path):
         batch_size="4", epochs="2", lr="1e120",
     )
     out = tmp_path / "runs"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.run(["train", "--config", str(cfg), "--out-dir", str(out)])
+    code = cli.run(["train", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 4
     summary = _read_rows(out / "summary.csv")
     assert summary[0]["n_diverged"] == "1"
@@ -256,8 +255,7 @@ def test_grid_lr_then_train_from_table(tmp_path, capsys):
 def test_grid_lr_all_diverged_exits_4(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", seeds="0", lr_grid="1e300")
     table_path = tmp_path / "lr.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.run(["grid-lr", "--config", str(cfg), "--out", str(table_path)])
+    code = cli.run(["grid-lr", "--config", str(cfg), "--out", str(table_path)])
     assert code == 4
     assert "some grid runs diverged" in capsys.readouterr().err
     assert [row["final_test_acc"] for row in _read_rows(table_path)] == ["-1.0"]

@@ -213,8 +213,7 @@ def test_run_cell_divergence_is_captured(tmp_path):
     a = 1e200
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])
     ds = LabeledDataset(feats, np.array([0, 1, 0, 1]), 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_cell(ds, ds, CE, 0.0, 0, 2, (), 4, 3, 1e120)
+    result = run_cell(ds, ds, CE, 0.0, 0, 2, (), 4, 3, 1e120)
     assert result.diverged
     assert result.records == []
     assert result.final_test_acc is None and result.best_test_acc is None
@@ -287,8 +286,7 @@ def test_run_sweep_reports_divergence_after_its_group():
     ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)
     spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2, 3), hidden=(), batch_size=4, lr=1e120)
     messages = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = run_sweep(ds, ds, spec, progress=messages.append)
+    results = run_sweep(ds, ds, spec, progress=messages.append)
     assert [r.diverged for r in results] == [True, True]
     assert messages == [
         "train loss=ce eta=0 seed=2 lr=1e+120",
@@ -486,8 +484,7 @@ def test_grid_search_scores_divergence_minus_one():
     ds = LabeledDataset(feats, np.array([0, 1, 0, 1]), 2)
     spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2,), hidden=(),
                       batch_size=4, epochs=2, lr=None, lr_grid=(1e120, 1e-300))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = grid_search_lr(ds, ds, spec)
+    rows = grid_search_lr(ds, ds, spec)
     assert rows[0]["final_test_acc"] == -1.0 and rows[0]["selected"] == 0
     assert rows[1]["final_test_acc"] >= 0.0 and rows[1]["selected"] == 1
 

@@ -300,7 +300,7 @@ def _diverging_fixture(batch_size):
 def test_train_divergence_raises_with_partial_records():
     # one full-batch step per epoch: the epoch-end parameter check catches it
     model, ds, cfg = _diverging_fixture(4)
-    with pytest.raises(TrainingDiverged) as exc, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(TrainingDiverged) as exc:
         train(model, ds, None, cfg)
     assert exc.value.epoch == 1
     assert exc.value.records == []
@@ -309,7 +309,7 @@ def test_train_divergence_raises_with_partial_records():
 def test_train_divergence_caught_by_next_step_scores_check():
     # two steps per epoch: the second step's scores check catches it
     model, ds, cfg = _diverging_fixture(2)
-    with pytest.raises(TrainingDiverged) as exc, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(TrainingDiverged) as exc:
         train(model, ds, None, cfg)
     assert exc.value.epoch == 1
     assert exc.value.records == []
@@ -577,10 +577,9 @@ def test_lockstep_divergence_leaves_other_members_unchanged():
     members[1][0].weights[0][:] *= 1e200
     members[3][0].weights[0][0, 0] = -np.inf
     test_ds = LabeledDataset(features[::-1], np.array([1, 0] * 3), 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
-        models, sets, configs = (list(col) for col in zip(*members))
-        outcomes = train_lockstep(models, sets, test_ds, configs)
+    expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
+    models, sets, configs = (list(col) for col in zip(*members))
+    outcomes = train_lockstep(models, sets, test_ds, configs)
     assert [isinstance(out, TrainingDiverged) for out in outcomes] == [False, True, False, True, False, False]
     assert "scores" in str(outcomes[1]) and "parameters" in str(outcomes[3])
     for (solo, solo_model), got, model in zip(expected, outcomes, models):
@@ -588,7 +587,7 @@ def test_lockstep_divergence_leaves_other_members_unchanged():
             assert (str(got), got.epoch, got.records) == (str(solo), solo.epoch, solo.records)
         else:
             assert got == solo
-            _assert_same_params(model, solo_model)
+        _assert_same_params(model, solo_model)  # a diverged member keeps its parameters as they were then
 
 
 def test_lockstep_rejects_members_that_cannot_share_a_step():
