@@ -29,12 +29,13 @@ the stacked kernel alone (``_true_class``, ``_score_gradients_into`` and
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .simplex import as_distribution, as_scores, check_labels, check_num_classes, softmax
+from .simplex import _by_rows, as_distribution, as_scores, check_label_shape, check_labels, check_num_classes, softmax
 
 # Probabilities are clamped to at least this before logs / negative powers.
 CLAMP_EPS = 1e-12
@@ -186,11 +187,11 @@ def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
 def _true_class(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
     """Fill t = p_y (R, n), and sq = ||p||^2 on MSE rows, from probs (R, n, K); return p_y's flat index.
 
-    labels is (R, n); groups holds (LossSpec, slice) pairs covering the R axis;
-    sq may be None where no caller reads it.
+    labels is (R, n), already through check_labels; groups holds (LossSpec,
+    slice) pairs covering the R axis; sq may be None where no caller reads it.
     """
     r, n, k = probs.shape
-    flat = np.arange(0, r * n * k, k) + check_labels(labels, k).reshape(-1)
+    flat = np.arange(0, r * n * k, k) + labels.reshape(-1)
     t[...] = probs.reshape(-1)[flat].reshape(r, n)
     for spec, members in groups:
         if spec.kind == "mse" and sq is not None:
@@ -205,11 +206,24 @@ def _losses_from_t(spec: LossSpec, t: np.ndarray, sq: np.ndarray) -> NDArray[np.
     return _KIND_TABLE[spec.kind].h(t, spec.q)
 
 
+def _bulk_arguments(probs, labels) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """probs as float64 (n, K) and labels as checked int64 (n,), or raise ValueError."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ValueError(f"probs must be n distributions of shape (n, K), got shape {probs.shape}")
+    return probs, check_labels(check_label_shape(labels, probs.shape[0]), probs.shape[1])
+
+
 def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     """Per-sample losses for a batch: probs (n, K) distributions, labels (n,) ints."""
-    t, sq = np.empty((2, 1, np.size(labels)))
-    _true_class(np.asarray(probs, dtype=np.float64)[None], np.asarray(labels)[None], [(spec, slice(0, 1))], t, sq)
-    return _losses_from_t(spec, t[0], sq[0])
+    probs, labels = _bulk_arguments(probs, labels)
+    return _by_rows(partial(_loss_rows, spec), np.empty(labels.shape), probs, labels)
+
+
+def _loss_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
+    t, sq = np.empty((2, 1, labels.size))
+    _true_class(probs[None], labels[None], [(spec, slice(0, 1))], t, sq)
+    out[...] = _losses_from_t(spec, t[0], sq[0])
 
 
 def loss_value(spec: LossSpec, p, y: int) -> float:
@@ -268,9 +282,14 @@ def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, groups, t: np.n
 
 def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
     """Per-sample gradients d loss / d scores, shape (n, K), given probs = softmax(scores)."""
-    t = np.empty((1, np.size(labels)))
-    grads = np.array(probs, dtype=np.float64, order="C")[None]  # a copy: the kernel works in place
-    return _score_gradients_into(grads, np.asarray(labels)[None], [(spec, slice(0, 1))], t, None)[0]
+    probs, labels = _bulk_arguments(probs, labels)
+    return _by_rows(partial(_gradient_rows, spec), np.empty(probs.shape), probs, labels)
+
+
+def _gradient_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
+    t = np.empty((1, labels.size))
+    out[...] = probs  # out is C-contiguous, as the in-place kernel needs
+    _score_gradients_into(out[None], labels[None], [(spec, slice(0, 1))], t, None)
 
 
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .data import LabeledDataset
 from .losses import LossSpec, _losses_from_t, _score_gradients_into, loss_values
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
-from .simplex import _softmax, check_num_classes, softmax
+from .simplex import _softmax, check_label_shape, check_labels, check_num_classes, softmax
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, s
     Per member this is score_gradients(...) / n, bit for bit, whatever the others' scores hold;
     t (R, n) receives t and sq (R, n) ||p||^2 on MSE rows, for _batch_mean_losses.
     """
-    delta = _score_gradients_into(_softmax(scores, out=scores), labels, groups, t, sq)
+    delta = _score_gradients_into(_softmax(scores, out=scores), check_labels(labels, scores.shape[-1]), groups, t, sq)
     delta /= scores.shape[1]
     return delta
 
@@ -184,11 +184,9 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     one-member case of the step train_lockstep takes.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    if y.shape != x.shape[:1]:
-        raise ValueError(f"labels must be {x.shape[0]} class indices, got shape {y.shape}")
+    y = check_label_shape(labels, x.shape[0])
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):

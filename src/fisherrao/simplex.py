@@ -9,10 +9,22 @@ the Fisher-Rao distance come out in closed form:
     d_H(p, q)  = sqrt( sum_i (sqrt(p_i) - sqrt(q_i))^2 ) in [0, sqrt(2)]
 
 with the exact relation d_FR = 4 arcsin(d_H / 2).
+
+Every bulk function here and in ``losses`` works row by row, so ``_by_rows``
+runs it over the leading axis in blocks of ROW_BLOCK rows: the bits are the
+same for any block size.
 """
 
 import numpy as np
 from numpy.typing import NDArray
+
+# Rows per block of a bulk call.  A block of 10 float64 columns is 328 KB, so a
+# kernel's temporaries stay in the core's L2 cache instead of streaming whole
+# arrays through memory (ROADMAP, "Measured and rejected").
+ROW_BLOCK = 4096
+# Up to this many classes, _softmax_rows takes the row max one column at a
+# time, which beats numpy's reduction over short rows; past about 50 it loses.
+COLUMN_MAX_K = 32
 
 # Tolerance on sum(p) == 1 for validated distributions; entries more negative
 # than -NEG_EPS are rejected, anything in [-NEG_EPS, 0) is treated as 0.
@@ -63,6 +75,14 @@ def check_labels(labels, num_classes: int) -> NDArray[np.int64]:
     return labels.astype(np.int64, copy=False)
 
 
+def check_label_shape(labels, rows: int) -> np.ndarray:
+    """Return labels as an array, or raise ValueError unless it is one label per row, shape (rows,)."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"labels must be {rows} class indices, got shape {labels.shape}")
+    return labels
+
+
 def one_hot(label: int, num_classes: int) -> NDArray[np.float64]:
     """Vertex of the simplex: e_label in Delta^{num_classes - 1}."""
     check_num_classes(num_classes)
@@ -72,18 +92,37 @@ def one_hot(label: int, num_classes: int) -> NDArray[np.float64]:
 
 
 def softmax(scores) -> NDArray[np.float64]:
-    """Numerically stable softmax over the last axis; rejects non-finite scores."""
+    """Numerically stable softmax over the last axis; rejects non-finite scores and an empty or missing last axis."""
     s = np.asarray(scores, dtype=np.float64)
+    if s.ndim == 0 or s.shape[-1] == 0:
+        raise ValueError(f"softmax requires scores with a non-empty last axis, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax requires finite scores")
-    return _softmax(s)
+    return _by_rows(_softmax_rows, np.empty(s.shape), s)
 
 
-def _softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """softmax of float64 scores already known to be finite, into out (which may be s)."""
-    e = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
+def _softmax(s: np.ndarray, out: np.ndarray | None = None, row_max: np.ndarray | None = None) -> np.ndarray:
+    """softmax of float64 scores already known to be finite, into out (which may be s).
+
+    row_max, if given, is s.max(axis=-1, keepdims=True) computed by the caller.
+    """
+    e = np.subtract(s, s.max(axis=-1, keepdims=True) if row_max is None else row_max, out=out)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+
+
+def _softmax_rows(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_softmax for a block of a bulk call, with the row max taken a column at a time up to COLUMN_MAX_K classes.
+
+    The values are those of s.max: max is exact, and a row whose max is a zero
+    of either sign gives the same e = s - max and exp(e).
+    """
+    if s.shape[-1] > COLUMN_MAX_K:
+        return _softmax(s, out=out)
+    row_max = s[..., :1].copy()
+    for j in range(1, s.shape[-1]):
+        np.maximum(row_max, s[..., j : j + 1], out=row_max)
+    return _softmax(s, out=out, row_max=row_max)
 
 
 def sphere_embed(p) -> NDArray[np.float64]:
@@ -107,15 +146,23 @@ def fisher_rao_distance(p, q):
     rounding at coincident points cannot produce NaN.
     """
     p, q = _pair(p, q)
+    return _by_rows(_fisher_rao, np.empty(p.shape[:-1]), p, q)
+
+
+def _fisher_rao(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     affinity = np.sqrt(p * q).sum(axis=-1)
-    return 2.0 * np.arccos(np.clip(affinity, -1.0, 1.0))
+    return np.multiply(2.0, np.arccos(np.clip(affinity, -1.0, 1.0)), out=out)
 
 
 def hellinger_distance(p, q):
     """Hellinger distance sqrt(sum_i (sqrt(p_i) - sqrt(q_i))^2), vectorized over leading axes."""
     p, q = _pair(p, q)
+    return _by_rows(_hellinger, np.empty(p.shape[:-1]), p, q)
+
+
+def _hellinger(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     diff = np.sqrt(p) - np.sqrt(q)
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return np.sqrt((diff * diff).sum(axis=-1), out=out)
 
 
 def fisher_rao_from_hellinger(d_h):
@@ -131,3 +178,19 @@ def sample_simplex(rng: np.random.Generator, num_classes: int, n: int | None = N
     shape = (num_classes,) if n is None else (n, num_classes)
     x = rng.standard_exponential(shape)
     return x / x.sum(axis=-1, keepdims=True)
+
+
+def _by_rows(kernel, out: np.ndarray, *arrays: np.ndarray):
+    """Fill out with kernel(*arrays, out=out), ROW_BLOCK rows of the leading axis at a time.
+
+    The arrays and out share a leading row axis, and kernel must compute each
+    row from that row alone.  Arrays with one axis are a single row.  A 0-d
+    result is returned as a numpy scalar, as a ufunc returns it.
+    """
+    if arrays[0].ndim < 2:
+        kernel(*arrays, out=out)
+    else:
+        for i in range(0, len(out), ROW_BLOCK):
+            block = slice(i, i + ROW_BLOCK)
+            kernel(*(a[block] for a in arrays), out=out[block])
+    return out if out.ndim else out[()]

@@ -7,6 +7,8 @@ through a flat index, where an unchecked label would read a neighbouring
 row instead of failing.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,3 +68,27 @@ def test_labels_that_are_not_whole_numbers_raise_a_value_error(entry, k, spec, b
     call(np.array([0.0, k - 1.0]), k, spec)  # whole numbers are accepted whatever their dtype
     with pytest.raises(ValueError, match="out of range" if np.isinf(bad) else "whole numbers"):
         call(np.array([0.0, k - 1.0, bad]), k, spec)
+
+
+# name -> call(probs, labels), one per bulk entry point that takes one label per row
+ROW_LABEL_CALLS = {
+    "loss_values": lambda probs, y: loss_values(CE, probs, y),
+    "score_gradients": lambda probs, y: score_gradients(CE, probs, y),
+    "batch_grad": lambda probs, y: batch_grad(init_model(MlpConfig((2, 3), CE, 0.1, 1, 1, 0)), probs[:, :2], y, CE),
+}
+
+
+@pytest.mark.parametrize("entry", ROW_LABEL_CALLS)
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (3,), (5,), ()], ids=["row", "column", "short", "long", "scalar"])
+def test_labels_must_be_one_per_row(entry, shape):
+    call, probs = ROW_LABEL_CALLS[entry], _uniform(4, 3)
+    call(probs, np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match=re.escape(f"labels must be 4 class indices, got shape {shape}")):
+        call(probs, np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("entry", ["loss_values", "score_gradients"])
+@pytest.mark.parametrize("shape", [(3,), (2, 4, 3)])
+def test_probs_must_be_rows_of_distributions(entry, shape):
+    with pytest.raises(ValueError, match=r"probs must be n distributions of shape \(n, K\)"):
+        ROW_LABEL_CALLS[entry](np.full(shape, 1.0 / 3.0), np.zeros(shape[:1], dtype=np.int64))

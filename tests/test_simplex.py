@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fisherrao import simplex
+from fisherrao.losses import LossSpec, loss_values, score_gradients
 from fisherrao.rng import make_rng
 from fisherrao.simplex import (
     as_distribution,
@@ -79,6 +85,12 @@ def test_softmax_log_ratios():
 def test_softmax_rejects_nonfinite():
     with pytest.raises(ValueError):
         softmax([np.inf, 0.0])
+
+
+@pytest.mark.parametrize("scores", [3.0, np.zeros((2, 0)), []], ids=["0-d", "empty last axis", "empty vector"])
+def test_softmax_rejects_scores_without_a_class_axis(scores):
+    with pytest.raises(ValueError, match="softmax requires scores with a non-empty last axis"):
+        softmax(scores)
 
 
 def test_softmax_batched_rows_sum_to_one():
@@ -215,3 +227,79 @@ def test_sample_simplex_shapes_and_validity():
     npt.assert_allclose(batch.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # flat coverage: each coordinate's mean is 1/K
     npt.assert_allclose(batch.mean(axis=0), 0.25, rtol=0, atol=0.05)
+
+
+# ------------------------------------------------- bulk calls in row blocks
+
+
+def _row_block(rows):
+    """Patch ROW_BLOCK, the rows per block of a bulk call, to ``rows``."""
+    return mock.patch.object(simplex, "ROW_BLOCK", rows)
+
+
+BULK_CALLS = {
+    "softmax": lambda d: softmax(d["scores"]),
+    "fisher_rao_distance": lambda d: fisher_rao_distance(d["p"], d["q"]),
+    "hellinger_distance": lambda d: hellinger_distance(d["p"], d["q"]),
+    "loss_values": lambda d: loss_values(d["spec"], d["probs"], d["labels"]),
+    "score_gradients": lambda d: score_gradients(d["spec"], d["probs"], d["labels"]),
+}
+BULK_LOSSES = ("mse", "mae", "ce", "qce:0", "qce:0.7", "fr", "hellinger")
+
+
+def _outcome(call, data):
+    """The bytes a call returns, or the type and message of what it raises."""
+    try:
+        return call(data).tobytes()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block=st.integers(1, 6),
+    blocks=st.integers(1, 5),
+    delta=st.sampled_from((-1, 0, 1)),
+    k=st.sampled_from((2, 10, 17, simplex.COLUMN_MAX_K + 1)),
+    loss=st.sampled_from(BULK_LOSSES),
+    bad=st.sampled_from((None, "score", "label")),
+    bad_at=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_bulk_calls_match_the_single_call_bit_for_bit(block, blocks, delta, k, loss, bad, bad_at, seed):
+    # blocks * block + delta rows covers one block and several, each +-1 row
+    rows = max(blocks * block + delta, 0)
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(0.0, 8.0, (rows, k))
+    labels = rng.integers(0, k, rows)
+    x = rng.standard_exponential((2, rows, k))
+    data = {"scores": scores, "probs": softmax(scores), "labels": labels, "spec": LossSpec.parse(loss)}
+    data["p"], data["q"] = x / x.sum(axis=-1, keepdims=True)
+    if bad is not None and rows:
+        row = int(bad_at * rows)
+        if bad == "score":
+            scores[row, row % k] = (np.nan, np.inf, -np.inf)[row % 3]
+        else:
+            labels[row] = k if row % 2 else -1
+    with _row_block(rows + 1):
+        serial = {name: _outcome(call, data) for name, call in BULK_CALLS.items()}
+    with _row_block(block):
+        blocked = {name: _outcome(call, data) for name, call in BULK_CALLS.items()}
+    assert blocked == serial
+    if bad is not None and rows:
+        assert isinstance(serial["softmax" if bad == "score" else "loss_values"], tuple)
+
+
+@pytest.mark.parametrize("k", [2, 10, simplex.COLUMN_MAX_K, simplex.COLUMN_MAX_K + 1])
+def test_bulk_softmax_matches_the_training_kernel_bit_for_bit(k):
+    # the bulk call takes the row max a column at a time; the training step's _softmax reduces each row
+    scores = make_rng(5, k).normal(0.0, 8.0, (40, k))
+    scores[0] = 0.0
+    scores[1] = -np.abs(scores[1])
+    scores[1, k // 2] = -0.0  # the max is -0.0, with 0.0 nowhere in the row
+    scores[2] = -np.abs(scores[2])
+    scores[2, 0], scores[2, -1] = -0.0, 0.0  # a max of either sign of zero
+    scores[3, :] = scores[3, 0]  # a row of ties
+    for s in (scores, scores[7]):
+        assert softmax(s).tobytes() == simplex._softmax(s.copy()).tobytes()
+
