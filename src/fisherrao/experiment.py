@@ -220,33 +220,36 @@ def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
 
 
 def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, train_acc, tag, progress) -> list[RunResult]:
-    """Train (eta_index, loss, seed, lr) cells in lockstep groups; results in cell order.
+    """Train (eta_index, loss, seed, lr) cells in lockstep groups of one loss, losses in first-seen order.
 
-    Every cell's noisy labels are built before the first group trains, so an
-    out-of-range eta fails early; each (eta, seed) label set is corrupted once
-    and shared by every loss.  A group's progress lines are written when it
-    starts, its divergence lines when it ends.
+    Results are in cell order.  Every cell's noisy labels are built before the
+    first group trains, so an out-of-range eta fails early; each (eta, seed)
+    label set is corrupted once and shared by every loss.  A group's progress
+    lines are written when it starts, its divergence lines when it ends.
     """
     noisy = {}
     for eta_index, _, seed, _ in cells:
         if (eta_index, seed) not in noisy:
             noisy[eta_index, seed] = _noisy_train_set(train_ds, spec.etas[eta_index], eta_index, seed)
     layer_sizes = (train_ds.num_features, *spec.hidden, train_ds.num_classes)
-    results: list[RunResult] = []
-    for size in _group_sizes(len(cells), layer_sizes):
-        group = cells[len(results) : len(results) + size]
-        lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}" for i, loss, seed, lr in group]
-        if progress is not None:
-            for line in lines:
-                progress(line)
-        configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, loss, seed, lr in group]
-        outcomes = train_lockstep([init_model(c) for c in configs], [noisy[i, seed] for i, _, seed, _ in group],
-                                  test_ds, configs, eval_every_epoch, train_acc)
-        for (i, loss, seed, lr), line, out in zip(group, lines, outcomes):
-            diverged = isinstance(out, TrainingDiverged)
-            results.append(RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged))
-            if diverged and progress is not None:
-                progress(f"  diverged at epoch {len(out.records) + 1}: {line}")
+    results: list = [None] * len(cells)
+    for loss in dict.fromkeys(loss for _, loss, _, _ in cells):
+        positions = [pos for pos, cell in enumerate(cells) if cell[1] == loss]
+        for size in _group_sizes(len(positions), layer_sizes):
+            group_positions, positions = positions[:size], positions[size:]
+            group = [cells[pos] for pos in group_positions]
+            lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}" for i, _, seed, lr in group]
+            if progress is not None:
+                for line in lines:
+                    progress(line)
+            configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, _, seed, lr in group]
+            outcomes = train_lockstep([init_model(c) for c in configs], [noisy[i, seed] for i, _, seed, _ in group],
+                                      test_ds, configs, eval_every_epoch, train_acc)
+            for pos, (i, _, seed, lr), line, out in zip(group_positions, group, lines, outcomes):
+                diverged = isinstance(out, TrainingDiverged)
+                results[pos] = RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged)
+                if diverged and progress is not None:
+                    progress(f"  diverged at epoch {len(out.records) + 1}: {line}")
     return results
 
 
@@ -378,15 +381,21 @@ def _optional_float(text: str) -> float | None:
 
 
 def read_lr_table(path) -> dict[tuple[str, float], float]:
-    """Selected learning rates from a grid-search CSV: (loss str, eta) -> lr."""
+    """Selected learning rates from a grid-search CSV: (loss str, eta) -> lr; one selected row per (loss, eta)."""
+    table = {}
 
-    def selected(fields):
+    def select(fields):
         loss, q, eta, lr, _, chosen = fields
-        if chosen != "1":
-            return None
-        return (str(LossSpec(loss, _optional_float(q))), float(eta)), float(lr)
+        if chosen not in ("0", "1"):
+            raise ValueError(f"selected must be 0 or 1, got {chosen!r}")
+        key = (str(LossSpec(loss, _optional_float(q))), float(eta))
+        if chosen == "1":
+            if key in table:
+                raise ValueError(f"selected twice for loss={key[0]} eta={key[1]:g}")
+            table[key] = float(lr)
 
-    return dict(row for row in read_rows(path, LR_TABLE_COLUMNS, selected) if row is not None)
+    read_rows(path, LR_TABLE_COLUMNS, select)
+    return table
 
 
 _PER_EPOCH_TYPES = (str, str, _optional_float, float, int, int, float, float, _optional_float)

@@ -23,8 +23,10 @@ Each p_y kind is one row of ``_KIND_TABLE``: h(t), |h'(t)| and the width of
 the range of sum_y L(p, y) over the simplex, which sets the robustness
 bounds.  MSE is the one kind handled apart.  The loss-layer formulas live in
 the stacked kernel alone (``_true_class``, ``_score_gradients_into`` and
-``_losses_from_t``): the training step runs it on R members at once, and
-``score_gradients`` and ``loss_values`` are its one-member case.
+``_losses_from_t``), which takes one LossSpec for the whole stack: the
+training step runs it on the R members of a lockstep group, which all train
+the same loss, and ``score_gradients`` and ``loss_values`` are its one-member
+case.
 """
 
 import math
@@ -184,18 +186,16 @@ def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
     return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q) * t
 
 
-def _true_class(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
-    """Fill t = p_y (R, n), and sq = ||p||^2 on MSE rows, from probs (R, n, K); return p_y's flat index.
+def _true_class(probs: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+    """Fill t = p_y (R, n), and for MSE sq = ||p||^2, from probs (R, n, K); return p_y's flat index.
 
-    labels is (R, n), already through check_labels; groups holds (LossSpec,
-    slice) pairs covering the R axis; sq may be None where no caller reads it.
+    labels is (R, n), already through check_labels; sq may be None where no caller reads it.
     """
     r, n, k = probs.shape
     flat = np.arange(0, r * n * k, k) + labels.reshape(-1)
     t[...] = probs.reshape(-1)[flat].reshape(r, n)
-    for spec, members in groups:
-        if spec.kind == "mse" and sq is not None:
-            sq[members] = (probs[members] * probs[members]).sum(axis=-1)
+    if spec.kind == "mse" and sq is not None:
+        sq[...] = (probs * probs).sum(axis=-1)
     return flat
 
 
@@ -222,7 +222,7 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 
 def _loss_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
     t, sq = np.empty((2, 1, labels.size))
-    _true_class(probs[None], labels[None], [(spec, slice(0, 1))], t, sq)
+    _true_class(probs[None], labels[None], spec, t, sq)
     out[...] = _losses_from_t(spec, t[0], sq[0])
 
 
@@ -256,7 +256,7 @@ def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
     return _KIND_TABLE[spec.kind].sum_width(k, spec.q)
 
 
-def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
     """Per-sample score gradients in place of the C-contiguous probs (R, n, K) = softmax(scores).
 
     The other arguments are _true_class's, which fills t and sq.  For the
@@ -264,19 +264,16 @@ def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, groups, t: np.n
     t appears in both factors, so CE yields exactly p - e_y.  MSE's gradient
     is v - p * sum(v) with v = (2 p - 2 e_y) * p.
     """
-    flat = _true_class(probs, labels, groups, t, sq)
-    n, k = probs.shape[1:]
-    for spec, members in groups:
-        p, at_y = probs[members], flat[members.start * n : members.stop * n]
-        if spec.kind == "mse":
-            v = 2.0 * p
-            v.reshape(-1)[at_y - members.start * n * k] -= 2.0
-            v *= p
-            p *= v.sum(axis=-1, keepdims=True)
-            np.subtract(v, p, out=p)
-        else:
-            probs.reshape(-1)[at_y] -= 1.0
-            p *= gradient_weight(spec, t[members])[..., None]
+    at_y = _true_class(probs, labels, spec, t, sq)
+    if spec.kind == "mse":
+        v = 2.0 * probs
+        v.reshape(-1)[at_y] -= 2.0
+        v *= probs
+        probs *= v.sum(axis=-1, keepdims=True)
+        np.subtract(v, probs, out=probs)
+    else:
+        probs.reshape(-1)[at_y] -= 1.0
+        probs *= gradient_weight(spec, t)[..., None]
     return probs
 
 
@@ -289,7 +286,7 @@ def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 def _gradient_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
     t = np.empty((1, labels.size))
     out[...] = probs  # out is C-contiguous, as the in-place kernel needs
-    _score_gradients_into(out[None], labels[None], [(spec, slice(0, 1))], t, None)
+    _score_gradients_into(out[None], labels[None], spec, t, None)
 
 
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:

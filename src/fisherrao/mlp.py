@@ -134,36 +134,28 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
         yield layer, gw, gb
 
 
-def _loss_layer(scores: np.ndarray, labels: np.ndarray, groups, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Score gradient of each member's mean batch loss, in place of the stacked scores (R, n, K).
 
-    Per member this is score_gradients(...) / n, bit for bit, whatever the others' scores hold;
-    t (R, n) receives t and sq (R, n) ||p||^2 on MSE rows, for _batch_mean_losses.
+    Per member this is score_gradients(spec, ...) / n, bit for bit, whatever the others' scores hold;
+    t (R, n) receives t and, for MSE, sq (R, n) ||p||^2, for _batch_mean_losses.
     """
-    delta = _score_gradients_into(_softmax(scores, out=scores), check_labels(labels, scores.shape[-1]), groups, t, sq)
+    delta = _score_gradients_into(_softmax(scores, out=scores), check_labels(labels, scores.shape[-1]), spec, t, sq)
     delta /= scores.shape[1]
     return delta
 
 
-def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, groups, batch_size: int) -> np.ndarray:
+def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, spec: LossSpec, batch_size: int) -> np.ndarray:
     """Mean loss per member (row) and batch (column) from the t and ||p||^2 stored by _loss_layer.
 
     A batch is batch_size consecutive columns, the last one possibly fewer;
     each mean is loss_values(...).mean() of that batch, bit for bit.
     """
-    losses = np.empty_like(t)
-    for spec, members in groups:
-        losses[members] = _losses_from_t(spec, t[members], sq[members])
+    losses = _losses_from_t(spec, t, sq)
     r, n = t.shape
     full = n - n % batch_size
     means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
     return np.concatenate([means, losses[:, full:].mean(axis=1, keepdims=True)], axis=1) if full < n else means
-
-
-def _loss_groups(specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
-    """(spec, slice of member positions) per run of consecutive equal losses."""
-    starts = [pos for pos, spec in enumerate(specs) if pos == 0 or spec != specs[pos - 1]]
-    return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -191,13 +183,14 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    groups, (t, sq) = [(spec, slice(0, 1))], np.empty((2, 1, y.size))
-    delta = _loss_layer(acts[-1], y[None], groups, t, sq)
+    t, sq = np.empty((2, 1, y.size))
+    with np.errstate(over="ignore"):  # a score range past the float maximum shifts to -inf, and exp(-inf) is 0
+        delta = _loss_layer(acts[-1], y[None], spec, t, sq)
     grad_w = [np.empty(0)] * len(model.weights)
     grad_b = [np.empty(0)] * len(model.biases)
     for layer, gw, gb in _backward(stack, acts, delta):
         grad_w[layer], grad_b[layer] = gw[0], gb[0]
-    return grad_w, grad_b, float(_batch_mean_losses(t, sq, groups, y.size)[0, 0])
+    return grad_w, grad_b, float(_batch_mean_losses(t, sq, spec, y.size)[0, 0])
 
 
 # Rows per evaluation forward pass.  Part of the numeric contract: BLAS may
@@ -233,9 +226,9 @@ def train_lockstep(
     """Mini-batch SGD on R models at once; per member, its TrainRecords or its TrainingDiverged.
 
     Member i trains models[i] on train_sets[i] under configs[i] exactly as it
-    would alone: own init, shuffle stream, labels, loss and learning rate.
-    The members share the feature matrix (datasets made by with_labels), the
-    layer sizes, batch size and epoch count.  Their parameters are stacked,
+    would alone: own init, shuffle stream, labels and learning rate.  The
+    members share the feature matrix (datasets made by with_labels), the
+    layer sizes, batch size, epoch count and loss.  Their parameters are stacked,
     so each layer takes one matmul forward and one backward, the loss layer
     runs once per step and the loss values once per epoch; each model's
     arrays become views of the stack, so they hold the trained values on return.
@@ -256,17 +249,17 @@ def train_lockstep(
     if not models or not len(models) == len(train_sets) == len(configs):
         raise ValueError("need one train set and one config per model, and at least one model")
     features = train_sets[0].features
-    shared = (configs[0].layer_sizes, configs[0].batch_size, configs[0].epochs)
+    shared = (configs[0].layer_sizes, configs[0].batch_size, configs[0].epochs, configs[0].loss)
     for ds, c in zip(train_sets, configs):
         if c.layer_sizes[0] != ds.num_features or c.layer_sizes[-1] != ds.num_classes:
             raise ValueError(
                 f"config layers {c.layer_sizes} do not match data (m={ds.num_features}, K={ds.num_classes})"
             )
-        if (c.layer_sizes, c.batch_size, c.epochs) != shared or ds.features is not features:
-            raise ValueError("lockstep members must share layer_sizes, batch_size, epochs and the feature matrix")
+        if (c.layer_sizes, c.batch_size, c.epochs, c.loss) != shared or ds.features is not features:
+            raise ValueError("lockstep members must share layer_sizes, batch_size, epochs, loss and the feature matrix")
     if test_ds is not None and test_ds.num_features != features.shape[1]:
         raise ValueError("train and test feature dimensions differ")
-    n, (_, batch_size, epochs) = len(features), shared
+    n, (_, batch_size, epochs, spec) = len(features), shared
     outcomes: list = [[] for _ in models]
     alive = np.ones(len(models), dtype=bool)
     stack = MlpModel([np.stack(ws) for ws in zip(*(m.weights for m in models))],
@@ -276,7 +269,6 @@ def train_lockstep(
         model.biases[:] = [b[pos] for b in stack.biases]
     lr = np.array([c.learning_rate for c in configs])[:, None, None]
     shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
-    groups = _loss_groups([c.loss for c in configs])
     t_buf, sq_buf = np.empty((2, len(models), n))  # each step's t and ||p||^2, for the epoch's loss
     batch_sizes = np.diff([*range(0, n, batch_size), n])
 
@@ -300,7 +292,7 @@ def train_lockstep(
                     diverge(alive & ~finite, epoch, "non-finite scores in forward pass")
                     if not alive.any():
                         return outcomes
-                delta = _loss_layer(acts[-1], epoch_labels[:, cols], groups, t_buf[:, cols], sq_buf[:, cols])
+                delta = _loss_layer(acts[-1], epoch_labels[:, cols], spec, t_buf[:, cols], sq_buf[:, cols])
                 for layer, gw, gb in _backward(stack, acts, delta):
                     stack.weights[layer] -= np.multiply(gw, lr, out=gw)
                     stack.biases[layer] -= np.multiply(gb, lr[:, 0], out=gb)
@@ -313,7 +305,7 @@ def train_lockstep(
                 if not alive.any():
                     return outcomes
             loss_sum = np.zeros(len(models))
-            for batch_loss in (_batch_mean_losses(t_buf, sq_buf, groups, batch_size) * batch_sizes).T:
+            for batch_loss in (_batch_mean_losses(t_buf, sq_buf, spec, batch_size) * batch_sizes).T:
                 loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
             for i in np.flatnonzero(alive):
                 train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None

@@ -98,7 +98,8 @@ def softmax(scores) -> NDArray[np.float64]:
         raise ValueError(f"softmax requires scores with a non-empty last axis, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax requires finite scores")
-    return _by_rows(_softmax_rows, np.empty(s.shape), s)
+    with np.errstate(over="ignore"):  # a score range past the float maximum shifts to -inf, and exp(-inf) is 0
+        return _by_rows(_softmax_rows, np.empty(s.shape), s)
 
 
 def _softmax(s: np.ndarray, out: np.ndarray | None = None, row_max: np.ndarray | None = None) -> np.ndarray:

@@ -285,10 +285,16 @@ def test_repeated_axis_entry_is_usage_error(tmp_path, capsys, command, over, nam
 
 def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
     table = tmp_path / "lr.csv"
-    table.write_text("loss,q,eta,lr,final_test_acc,selected\nce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1\n")
     cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr_file=str(table))
-    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")]) == 3
-    assert "line 3" in capsys.readouterr().err
+    for rows, message in (
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1", "unparseable value"),
+        ("ce,,0.0,0.1,0.9,1\nce,,0.0,0.3,0.9,1", "selected twice for loss=ce eta=0"),
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,0.3,0.9,yes", "selected must be 0 or 1, got 'yes'"),
+    ):
+        table.write_text(f"loss,q,eta,lr,final_test_acc,selected\n{rows}\n")
+        assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err
 
 
 # -------------------------------------------------------------------- usage

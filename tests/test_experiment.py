@@ -281,6 +281,30 @@ def test_run_sweep_results_do_not_depend_on_grouping(monkeypatch):
     assert run_sweep(train_ds, test_ds, spec) == grouped
 
 
+def test_lockstep_groups_train_one_loss_with_results_in_cell_order(monkeypatch):
+    # the benchmark's sweep_b20 shape: 4 losses x 2 etas, 3 grid rates then 5 seeds, a 100-80-40-20-10 net
+    groups = []
+
+    def recording_train_lockstep(models, train_sets, test_ds, configs, *args):
+        groups.append([c.loss for c in configs])
+        return train_lockstep(models, train_sets, test_ds, configs, *args)
+
+    monkeypatch.setattr(experiment, "train_lockstep", recording_train_lockstep)
+    losses = tuple(map(LossSpec.parse, ("mse", "ce", "fr", "hellinger")))
+    spec = _tiny_spec(losses=losses, etas=(0.0, 0.5), seeds=(1, 2, 3, 4, 5), hidden=(80, 40, 20), batch_size=20,
+                      epochs=1, lr_grid=(0.03, 0.1, 0.3), features=100, classes=10, class_sep=0.35)
+    train_ds, test_ds = load_datasets(spec)
+    rows = grid_search_lr(train_ds, test_ds, spec)
+    assert groups == [[loss] * 6 for loss in losses]
+    assert [(r["loss"], r["eta"], r["lr"]) for r in rows] == [
+        (loss.kind, eta, lr) for eta in spec.etas for loss in losses for lr in spec.lr_grid]
+    groups.clear()
+    results = run_sweep(train_ds, test_ds, spec)
+    assert groups == [[loss] * 10 for loss in losses]
+    assert [(r.loss, r.eta, r.seed) for r in results] == [
+        (loss, eta, seed) for eta in spec.etas for loss in losses for seed in spec.seeds]
+
+
 def test_run_sweep_reports_divergence_after_its_group():
     a = 1e200
     ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)

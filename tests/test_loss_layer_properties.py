@@ -1,10 +1,10 @@
 """Property-based checks of the lockstep loss layer (``mlp._loss_layer``).
 
 The stacked layer shares one softmax, one gather of t = p_y and one p - e_y
-among all members; each member's score gradient, and its mean loss built by
-``mlp._batch_mean_losses`` from the t and ||p||^2 the layer stores, must still
-be the per-member ``score_gradients(...) / n`` and ``loss_values(...).mean()``,
-bit for bit, whatever losses share the stack and in whatever order.
+among all members, which train one loss; each member's score gradient, and
+its mean loss built by ``mlp._batch_mean_losses`` from the t and ||p||^2 the
+layer stores, must still be the per-member ``score_gradients(...) / n`` and
+``loss_values(...).mean()``, bit for bit, whatever the other members hold.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, loss_values, qce, score_gradients
-from fisherrao.mlp import _batch_mean_losses, _loss_groups, _loss_layer
+from fisherrao.mlp import _batch_mean_losses, _loss_layer
 from fisherrao.simplex import softmax
 
 # Scores of +-700 drive t to 1 and below CLAMP_EPS (exp(-1400) is 0).
@@ -26,25 +26,19 @@ def stacks(draw):
     r, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
     scores = draw(arrays(np.float64, (r, n, k), elements=score_values))
     labels = draw(arrays(np.int64, (r, n), elements=st.integers(0, k - 1)))
-    return scores, labels, draw(st.lists(specs, min_size=r, max_size=r))
-
-
-def _assert_matches_per_member(scores, labels, members):
-    n, groups = scores.shape[1], _loss_groups(members)
-    t, sq = np.empty((2, *labels.shape))
-    delta = _loss_layer(scores.copy(), labels, groups, t, sq)  # the layer overwrites the scores
-    mean_loss = _batch_mean_losses(t, sq, groups, n)[:, 0]
-    assert np.isfinite(mean_loss).all() and np.isfinite(delta).all()
-    for m, spec in enumerate(members):
-        probs = softmax(scores[m])
-        assert mean_loss[m].tobytes() == loss_values(spec, probs, labels[m]).mean().tobytes()
-        assert delta[m].tobytes() == (score_gradients(spec, probs, labels[m]) / n).tobytes()
+    return scores, labels, draw(specs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(stacks())
 def test_loss_layer_matches_per_member_losses_bit_for_bit(stack):
-    scores, labels, members = stack
-    _assert_matches_per_member(scores, labels, members)  # drawn order: losses interleave
-    order = sorted(range(len(members)), key=lambda m: str(members[m]))  # each loss side by side
-    _assert_matches_per_member(scores[order], labels[order], [members[m] for m in order])
+    scores, labels, spec = stack
+    n = scores.shape[1]
+    t, sq = np.empty((2, *labels.shape))
+    delta = _loss_layer(scores.copy(), labels, spec, t, sq)  # the layer overwrites the scores
+    mean_loss = _batch_mean_losses(t, sq, spec, n)[:, 0]
+    assert np.isfinite(mean_loss).all() and np.isfinite(delta).all()
+    for m in range(len(scores)):
+        probs = softmax(scores[m])
+        assert mean_loss[m].tobytes() == loss_values(spec, probs, labels[m]).mean().tobytes()
+        assert delta[m].tobytes() == (score_gradients(spec, probs, labels[m]) / n).tobytes()

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from fisherrao.data import LabeledDataset, SyntheticSpec, generate_synthetic
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_values, qce, score_gradients
+from fisherrao.losses import (CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_gradient_scores, loss_values, qce,
+                              score_gradients)
 from fisherrao.mlp import (
     MlpConfig,
     MlpModel,
@@ -212,6 +213,18 @@ def test_batch_grad_rejects_labels_that_do_not_fit_the_batch(labels):
 def _blobs(n=400, seed=3, sep=2.5):
     train_ds, test_ds = generate_synthetic(SyntheticSpec(n, n // 2, 2, 2, sep, seed=seed))
     return train_ds, test_ds
+
+
+def test_scores_spanning_past_the_float_maximum_are_no_error():
+    # finite scores 1.7e308 apart: the softmax shift overflows to -inf, and exp(-inf) = 0 gives p = (0, 1) exactly
+    scores = np.array([-1.7e308, 1.7e308])
+    npt.assert_array_equal(loss_gradient_scores(CE, scores, 1), [0.0, 0.0])
+    model = MlpModel([scores[None, :]], [np.zeros(2)])
+    ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([1, 0]), 2)
+    assert evaluate(model, ds, MAE) == (0.5, 0.5)
+    grad_w, grad_b, loss = batch_grad(model, ds.features, ds.labels, MSE)
+    assert loss == 1.0
+    npt.assert_array_equal(grad_b[0], [0.0, 0.0])  # MSE saturates at a vertex
 
 
 def test_train_lr_zero_keeps_parameters():
@@ -529,23 +542,23 @@ def test_stacked_matmul_equals_per_member_matmul(layer_sizes, batch, r):
 
 
 def test_lockstep_group_matches_reference_loop():
-    # six losses, two learning rates, two etas, 50 samples in batches of 7
-    # (a final batch of 1), test accuracy only at the last epoch
+    # one group per loss: three learning rates, two etas, 50 samples in
+    # batches of 7 (a final batch of 1), test accuracy only at the last epoch
     train_ds, test_ds = generate_synthetic(SyntheticSpec(50, 30, 5, 3, 1.0, seed=4))
-    members = []
     for i, spec in enumerate(ALL_KINDS):
-        for j, (lr, eta) in enumerate(((0.05, 0.0), (0.3, 0.4))):
+        members = []
+        for j, (lr, eta) in enumerate(((0.05, 0.0), (0.3, 0.4), (0.1, 0.4))):
             noise = NoiseSpec(eta, 10 * i + j, 3)
             ds = train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
             config = MlpConfig((5, 6, 4, 3), spec, lr, 7, 3, seed=i + 10 * j)
             members.append((init_model(config), ds, config))
-    expected = [_solo(m, ds, test_ds, cfg, False, _reference_train) for m, ds, cfg in members]
-    models, sets, configs = (list(col) for col in zip(*members))
-    outcomes = train_lockstep(models, sets, test_ds, configs, eval_test_every_epoch=False)
-    for (records, ref_model), got, model in zip(expected, outcomes, models):
-        assert got == records
-        assert [r.test_acc is None for r in got] == [True, True, False]
-        _assert_same_params(model, ref_model)
+        expected = [_solo(m, ds, test_ds, cfg, False, _reference_train) for m, ds, cfg in members]
+        models, sets, configs = (list(col) for col in zip(*members))
+        outcomes = train_lockstep(models, sets, test_ds, configs, eval_test_every_epoch=False)
+        for (records, ref_model), got, model in zip(expected, outcomes, models):
+            assert got == records
+            assert [r.test_acc is None for r in got] == [True, True, False]
+            _assert_same_params(model, ref_model)
 
 
 def test_lockstep_epoch_of_zero_losses_records_positive_zero():
@@ -566,28 +579,32 @@ def test_lockstep_epoch_of_zero_losses_records_positive_zero():
 def test_lockstep_divergence_leaves_other_members_unchanged():
     features = np.arange(1.0, 13.0).reshape(6, 2)  # x > 0, 3 steps of 2 per epoch
     base = LabeledDataset(features, np.zeros(6, dtype=int), 2)
-    members = []
-    for i, (spec, lr) in enumerate(((CE, 0.1), (CE, 1e120), (FR, 0.05), (CE, 0.1), (MSE, 0.2), (HELLINGER, 0.1))):
-        labels = np.array([0, 1, 1, 0, 1, 0]) if i % 2 else np.array([0, 1] * 3)
-        config = MlpConfig((2, 3, 2), spec, lr, 2, 3, seed=i)
-        members.append((init_model(config), base.with_labels(labels), config))
-    # member 1: huge activations and rate overflow its first update, and the
-    # next step's scores check catches it; member 3: a -inf input weight
-    # hides behind ReLU, so only the epoch-end parameter check sees it
-    members[1][0].weights[0][:] *= 1e200
-    members[3][0].weights[0][0, 0] = -np.inf
     test_ds = LabeledDataset(features[::-1], np.array([1, 0] * 3), 2)
-    expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
-    models, sets, configs = (list(col) for col in zip(*members))
-    outcomes = train_lockstep(models, sets, test_ds, configs)
-    assert [isinstance(out, TrainingDiverged) for out in outcomes] == [False, True, False, True, False, False]
-    assert "scores" in str(outcomes[1]) and "parameters" in str(outcomes[3])
-    for (solo, solo_model), got, model in zip(expected, outcomes, models):
-        if isinstance(solo, TrainingDiverged):
-            assert (str(got), got.epoch, got.records) == (str(solo), solo.epoch, solo.records)
-        else:
-            assert got == solo
-        _assert_same_params(model, solo_model)  # a diverged member keeps its parameters as they were then
+    for spec in ALL_KINDS:  # one group per loss
+        members = []
+        for i, lr in enumerate((0.1, 1e120, 0.05, 0.1, 0.2)):
+            labels = np.array([0, 1, 1, 0, 1, 0]) if i % 2 else np.array([0, 1] * 3)
+            config = MlpConfig((2, 3, 2), spec, lr, 2, 3, seed=i)
+            members.append((init_model(config), base.with_labels(labels), config))
+        # member 1: huge activations and rate overflow its first update, and
+        # the next step's scores check catches it (equal scores keep every
+        # loss's gradient nonzero: MSE's vanishes at a vertex); member 3: a
+        # -inf input weight hides behind ReLU, so only the epoch-end
+        # parameter check sees it
+        members[1][0].weights[0][:] *= 1e200
+        members[1][0].weights[1][:] = members[1][0].weights[1][:, :1]
+        members[3][0].weights[0][0, 0] = -np.inf
+        expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
+        models, sets, configs = (list(col) for col in zip(*members))
+        outcomes = train_lockstep(models, sets, test_ds, configs)
+        assert [isinstance(out, TrainingDiverged) for out in outcomes] == [False, True, False, True, False]
+        assert "scores" in str(outcomes[1]) and "parameters" in str(outcomes[3])
+        for (solo, solo_model), got, model in zip(expected, outcomes, models):
+            if isinstance(solo, TrainingDiverged):
+                assert (str(got), got.epoch, got.records) == (str(solo), solo.epoch, solo.records)
+            else:
+                assert got == solo
+            _assert_same_params(model, solo_model)  # a diverged member keeps its parameters as they were then
 
 
 def test_lockstep_rejects_members_that_cannot_share_a_step():
@@ -599,3 +616,6 @@ def test_lockstep_rejects_members_that_cannot_share_a_step():
     wider = MlpConfig((2, 5, 2), CE, 0.1, 10, 2, seed=0)
     with pytest.raises(ValueError, match="share layer_sizes"):
         train_lockstep([init_model(cfg), init_model(wider)], [train_ds, train_ds], test_ds, [cfg, wider])
+    fr = MlpConfig((2, 4, 2), FR, 0.1, 10, 2, seed=0)
+    with pytest.raises(ValueError, match="loss"):
+        train_lockstep([init_model(cfg), init_model(fr)], [train_ds, train_ds], test_ds, [cfg, fr])

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fisherrao import simplex
 from fisherrao.losses import LossSpec, loss_values, score_gradients
@@ -303,3 +305,16 @@ def test_bulk_softmax_matches_the_training_kernel_bit_for_bit(k):
     for s in (scores, scores[7]):
         assert softmax(s).tobytes() == simplex._softmax(s.copy()).tobytes()
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, simplex.COLUMN_MAX_K + 8)),
+              elements=st.one_of(st.sampled_from((1.7e308, -1.7e308, -0.0)), st.floats(-1.7e308, 1.7e308))))
+def test_softmax_of_finite_scores_past_the_float_range_is_exact_and_silent(scores):
+    # s - max(s) overflows to -inf once a row spans more than the float maximum; exp(-inf) = 0 is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = softmax(scores)
+    npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    with np.errstate(over="ignore"):  # as in the training step, which runs the kernel under np.errstate
+        assert probs.tobytes() == simplex._softmax(scores.copy()).tobytes()
