@@ -80,7 +80,7 @@ def read_rows(path, columns, parse) -> list:
         try:
             rows.append(parse(fields))
         except ValueError as exc:
-            raise DataFormatError(f"unparseable value ({exc})", path=path, line=lineno) from None
+            raise DataFormatError(str(exc), path=path, line=lineno) from None
     return rows
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data import (DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, load_mnist,
                    read_rows, write_rows)
 from .losses import LossSpec
-from .mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
+from .mlp import MlpConfig, TrainingDiverged, TrainRecord, _accuracy, _recorder, init_model, train, train_lockstep
 from .noise import NoiseSpec, corrupt_labels
 from .rng import derive_seed
 
@@ -219,19 +219,22 @@ def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
-def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, train_acc, tag, progress) -> list[RunResult]:
+def _train_cells(train_ds, test_ds, spec, cells, epochs, record, tag, progress) -> list[RunResult]:
     """Train (eta_index, loss, seed, lr) cells in lockstep groups of one loss, losses in first-seen order.
 
-    Results are in cell order.  Every cell's noisy labels are built before the
-    first group trains, so an out-of-range eta fails early; each (eta, seed)
-    label set is corrupted once and shared by every loss.  A group's progress
-    lines are written when it starts, its divergence lines when it ends.
+    Results are in cell order.  The feature check, every cell's config and
+    its noisy labels come before the first progress line, so a bad setting
+    fails early; each (eta, seed) label set is corrupted once, for all losses.
+    A group's progress lines come when it starts, its divergence lines at its end.
     """
+    if test_ds.num_features != train_ds.num_features:
+        raise ValueError("train and test feature dimensions differ")
+    layer_sizes = (train_ds.num_features, *spec.hidden, train_ds.num_classes)
+    configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, loss, seed, lr in cells]
     noisy = {}
     for eta_index, _, seed, _ in cells:
         if (eta_index, seed) not in noisy:
             noisy[eta_index, seed] = _noisy_train_set(train_ds, spec.etas[eta_index], eta_index, seed)
-    layer_sizes = (train_ds.num_features, *spec.hidden, train_ds.num_classes)
     results: list = [None] * len(cells)
     for loss in dict.fromkeys(loss for _, loss, _, _ in cells):
         positions = [pos for pos, cell in enumerate(cells) if cell[1] == loss]
@@ -242,9 +245,9 @@ def _train_cells(train_ds, test_ds, spec, cells, epochs, eval_every_epoch, train
             if progress is not None:
                 for line in lines:
                     progress(line)
-            configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, _, seed, lr in group]
-            outcomes = train_lockstep([init_model(c) for c in configs], [noisy[i, seed] for i, _, seed, _ in group],
-                                      test_ds, configs, eval_every_epoch, train_acc)
+            group_configs = [configs[pos] for pos in group_positions]
+            outcomes = train_lockstep([init_model(c) for c in group_configs],
+                                      [noisy[i, seed] for i, _, seed, _ in group], group_configs, record)
             for pos, (i, _, seed, lr), line, out in zip(group_positions, group, lines, outcomes):
                 diverged = isinstance(out, TrainingDiverged)
                 results[pos] = RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged)
@@ -272,7 +275,8 @@ def run_sweep(
         (eta_index, loss, seed, lr_for(loss, eta))
         for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed in spec.seeds
     ]
-    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, spec.eval_every_epoch, True, "train", progress)
+    record = _recorder(test_ds, spec.epochs, spec.eval_every_epoch)
+    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, record, "train", progress)
 
 
 def make_lr_lookup(spec: ExperimentSpec):
@@ -312,8 +316,12 @@ def grid_search_lr(
         (eta_index, loss, spec.seeds[0], lr)
         for eta_index in range(len(spec.etas)) for loss in spec.losses for lr in spec.lr_grid
     ]
-    # selection reads only the final test accuracy, so grid runs skip the train-accuracy passes
-    results = _train_cells(train_ds, test_ds, spec, cells, epochs, False, False, "grid", progress)
+
+    def final_test_acc(epoch, model, _, train_loss) -> TrainRecord:
+        # selection reads only the final test accuracy, so grid runs skip the train-accuracy passes
+        return TrainRecord(epoch, train_loss, None, _accuracy(model, test_ds) if epoch == epochs else None)
+
+    results = _train_cells(train_ds, test_ds, spec, cells, epochs, final_test_acc, "grid", progress)
     rows = []
     for start in range(0, len(results), len(spec.lr_grid)):
         group = results[start : start + len(spec.lr_grid)]
@@ -388,6 +396,8 @@ def read_lr_table(path) -> dict[tuple[str, float], float]:
         loss, q, eta, lr, _, chosen = fields
         if chosen not in ("0", "1"):
             raise ValueError(f"selected must be 0 or 1, got {chosen!r}")
+        if not 0 <= float(lr) < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {lr}")
         key = (str(LossSpec(loss, _optional_float(q))), float(eta))
         if chosen == "1":
             if key in table:

@@ -206,6 +206,10 @@ def _scored_chunks(model: MlpModel, ds: LabeledDataset):
         yield int((np.argmax(scores, axis=1) == y).sum()), scores, y
 
 
+def _accuracy(model: MlpModel, ds: LabeledDataset) -> float:
+    return sum(hits for hits, _, _ in _scored_chunks(model, ds)) / len(ds)
+
+
 def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec) -> tuple[float, float]:
     """(accuracy, mean loss) over a dataset; argmax ties go to the smallest index."""
     correct, loss_total = 0, 0.0
@@ -215,15 +219,16 @@ def evaluate(model: MlpModel, ds: LabeledDataset, spec: LossSpec) -> tuple[float
     return correct / len(ds), loss_total / len(ds)
 
 
-def train_lockstep(
-    models: list[MlpModel],
-    train_sets: list[LabeledDataset],
-    test_ds: LabeledDataset | None,
-    configs: list[MlpConfig],
-    eval_test_every_epoch: bool = True,
-    record_train_acc: bool = True,
-) -> list:
-    """Mini-batch SGD on R models at once; per member, its TrainRecords or its TrainingDiverged.
+def _recorder(test_ds: LabeledDataset | None, epochs: int, test_every_epoch: bool):
+    """train_lockstep's record: train accuracy every epoch, test accuracy every epoch or only at the last."""
+    def record(epoch: int, model: MlpModel, train_ds: LabeledDataset, train_loss: float) -> TrainRecord:
+        scored = test_ds is not None and (test_every_epoch or epoch == epochs)
+        return TrainRecord(epoch, train_loss, _accuracy(model, train_ds), _accuracy(model, test_ds) if scored else None)
+    return record
+
+
+def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], configs: list[MlpConfig], record) -> list:
+    """Mini-batch SGD on R models at once; per member, its epoch records or its TrainingDiverged.
 
     Member i trains models[i] on train_sets[i] under configs[i] exactly as it
     would alone: own init, shuffle stream, labels and learning rate.  The
@@ -244,7 +249,8 @@ def train_lockstep(
     TrainingDiverged with that epoch and its completed records, and its model
     a copy of its parameters then; it stays in the stack, masked, and the
     others go on unchanged to the bit, as every stacked operation works per
-    member.  Without record_train_acc, train_acc is None (no accuracy pass).
+    member.  At the end of each epoch a live member i records
+    record(epoch, models[i], train_sets[i], mean train loss of the epoch).
     """
     if not models or not len(models) == len(train_sets) == len(configs):
         raise ValueError("need one train set and one config per model, and at least one model")
@@ -257,8 +263,6 @@ def train_lockstep(
             )
         if (c.layer_sizes, c.batch_size, c.epochs, c.loss) != shared or ds.features is not features:
             raise ValueError("lockstep members must share layer_sizes, batch_size, epochs, loss and the feature matrix")
-    if test_ds is not None and test_ds.num_features != features.shape[1]:
-        raise ValueError("train and test feature dimensions differ")
     n, (_, batch_size, epochs, spec) = len(features), shared
     outcomes: list = [[] for _ in models]
     alive = np.ones(len(models), dtype=bool)
@@ -308,28 +312,21 @@ def train_lockstep(
             for batch_loss in (_batch_mean_losses(t_buf, sq_buf, spec, batch_size) * batch_sizes).T:
                 loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
             for i in np.flatnonzero(alive):
-                train_acc = sum(h for h, _, _ in _scored_chunks(models[i], train_sets[i])) / n if record_train_acc else None
-                test_acc = None
-                if test_ds is not None and (eval_test_every_epoch or epoch == epochs):
-                    test_acc = sum(h for h, _, _ in _scored_chunks(models[i], test_ds)) / len(test_ds)
-                outcomes[i].append(TrainRecord(epoch, float(loss_sum[i]) / n, train_acc, test_acc))
+                outcomes[i].append(record(epoch, models[i], train_sets[i], float(loss_sum[i]) / n))
     return outcomes
 
 
-def train(
-    model: MlpModel,
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset | None,
-    config: MlpConfig,
-    eval_test_every_epoch: bool = True,
-) -> list[TrainRecord]:
+def train(model: MlpModel, train_ds: LabeledDataset, test_ds: LabeledDataset | None, config: MlpConfig,
+          eval_test_every_epoch: bool = True) -> list[TrainRecord]:
     """Mini-batch SGD; one TrainRecord per epoch.
 
     The one-member case of train_lockstep, which states the schedule and
     the divergence rule.  Divergence raises TrainingDiverged with the
     completed epochs attached.
     """
-    (outcome,) = train_lockstep([model], [train_ds], test_ds, [config], eval_test_every_epoch)
+    if test_ds is not None and test_ds.num_features != train_ds.num_features:
+        raise ValueError("train and test feature dimensions differ")
+    (outcome,) = train_lockstep([model], [train_ds], [config], _recorder(test_ds, config.epochs, eval_test_every_epoch))
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     return outcome

@@ -283,11 +283,31 @@ def test_repeated_axis_entry_is_usage_error(tmp_path, capsys, command, over, nam
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "grid-lr"])
+@pytest.mark.parametrize("over,message", [
+    ({"epochs": "0"}, "epochs must be >= 1, got 0"),
+    ({"batch_size": "0"}, "batch_size must be >= 1, got 0"),
+    ({"hidden": "0"}, "layer_sizes needs >= 2 positive entries"),
+    ({"lr": "-0.1", "lr_grid": "0.1,-0.1"}, "learning_rate must be finite and >= 0, got -0.1"),
+], ids=["epochs", "batch_size", "hidden", "lr"])
+def test_bad_run_setting_fails_before_training(tmp_path, capsys, command, over, message):
+    # every cell's settings are checked before the first progress line, not after the cells before it
+    cfg = _write_config(tmp_path / "exp.cfg", **{"lr_grid": "0.1,0.3", **over})
+    assert cli.run([command, "--config", str(cfg), "--out" if command == "grid-lr" else "--out-dir",
+                    str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # the error alone, no progress line
+    assert line.startswith("error: ") and message in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
     table = tmp_path / "lr.csv"
     cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr_file=str(table))
     for rows, message in (
-        ("ce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1", "unparseable value"),
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1", "could not convert string to float: 'abc'"),
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,-0.1,0.9,1", "lr must be finite and >= 0, got -0.1"),
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,nan,0.9,1", "lr must be finite and >= 0, got nan"),
+        ("ce,,0.0,0.1,0.9,0\nce,,0.0,inf,0.9,1", "lr must be finite and >= 0, got inf"),
         ("ce,,0.0,0.1,0.9,1\nce,,0.0,0.3,0.9,1", "selected twice for loss=ce eta=0"),
         ("ce,,0.0,0.1,0.9,0\nce,,0.0,0.3,0.9,yes", "selected must be 0 or 1, got 'yes'"),
     ):

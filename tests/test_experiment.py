@@ -266,6 +266,19 @@ def test_run_sweep_out_of_range_eta_fails_before_training():
     assert messages == []
 
 
+@pytest.mark.parametrize("search", [False, True])
+def test_feature_mismatch_fails_before_training(search):
+    train_ds, test_ds = _blobs()
+    wider = LabeledDataset(np.hstack([test_ds.features, test_ds.features]), test_ds.labels, 2)
+    messages = []
+    with pytest.raises(ValueError, match="train and test feature dimensions differ"):
+        if search:
+            grid_search_lr(train_ds, wider, _tiny_spec(lr_grid=(0.1,)), progress=messages.append)
+        else:
+            run_sweep(train_ds, wider, _tiny_spec(), progress=messages.append)
+    assert messages == []
+
+
 def test_group_sizes_fit_the_parameter_budget():
     assert _group_sizes(40, (100, 80, 40, 20, 10)) == [20, 20]  # at most 21 of this net per group
     assert _group_sizes(24, (100, 80, 40, 20, 10)) == [12, 12]
@@ -285,9 +298,9 @@ def test_lockstep_groups_train_one_loss_with_results_in_cell_order(monkeypatch):
     # the benchmark's sweep_b20 shape: 4 losses x 2 etas, 3 grid rates then 5 seeds, a 100-80-40-20-10 net
     groups = []
 
-    def recording_train_lockstep(models, train_sets, test_ds, configs, *args):
+    def recording_train_lockstep(models, train_sets, configs, record):
         groups.append([c.loss for c in configs])
-        return train_lockstep(models, train_sets, test_ds, configs, *args)
+        return train_lockstep(models, train_sets, configs, record)
 
     monkeypatch.setattr(experiment, "train_lockstep", recording_train_lockstep)
     losses = tuple(map(LossSpec.parse, ("mse", "ce", "fr", "hellinger")))

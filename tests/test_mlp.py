@@ -10,6 +10,7 @@ from fisherrao.mlp import (
     MlpModel,
     TrainingDiverged,
     TrainRecord,
+    _recorder,
     batch_grad,
     evaluate,
     forward,
@@ -554,7 +555,7 @@ def test_lockstep_group_matches_reference_loop():
             members.append((init_model(config), ds, config))
         expected = [_solo(m, ds, test_ds, cfg, False, _reference_train) for m, ds, cfg in members]
         models, sets, configs = (list(col) for col in zip(*members))
-        outcomes = train_lockstep(models, sets, test_ds, configs, eval_test_every_epoch=False)
+        outcomes = train_lockstep(models, sets, configs, _recorder(test_ds, 3, False))
         for (records, ref_model), got, model in zip(expected, outcomes, models):
             assert got == records
             assert [r.test_acc is None for r in got] == [True, True, False]
@@ -570,7 +571,7 @@ def test_lockstep_epoch_of_zero_losses_records_positive_zero():
     config = MlpConfig((1, 2), CE, 0.1, 3, 2, seed=0)
     model = MlpModel([np.array([[1.0, -1.0]])], [np.zeros(2)])
     expected, _ = _solo(model, ds, None, config, trainer=_reference_train)
-    (got,) = train_lockstep([model], [ds], None, [config])
+    (got,) = train_lockstep([model], [ds], [config], _recorder(None, 2, True))
     assert got == expected
     for a, b in zip(got, expected):
         assert np.float64(a.train_loss).tobytes() == np.float64(b.train_loss).tobytes() == np.float64(0.0).tobytes()
@@ -596,7 +597,7 @@ def test_lockstep_divergence_leaves_other_members_unchanged():
         members[3][0].weights[0][0, 0] = -np.inf
         expected = [_solo(m, ds, test_ds, cfg) for m, ds, cfg in members]
         models, sets, configs = (list(col) for col in zip(*members))
-        outcomes = train_lockstep(models, sets, test_ds, configs)
+        outcomes = train_lockstep(models, sets, configs, _recorder(test_ds, 3, True))
         assert [isinstance(out, TrainingDiverged) for out in outcomes] == [False, True, False, True, False]
         assert "scores" in str(outcomes[1]) and "parameters" in str(outcomes[3])
         for (solo, solo_model), got, model in zip(expected, outcomes, models):
@@ -610,12 +611,13 @@ def test_lockstep_divergence_leaves_other_members_unchanged():
 def test_lockstep_rejects_members_that_cannot_share_a_step():
     train_ds, test_ds = _blobs(40)
     cfg = MlpConfig((2, 4, 2), CE, 0.1, 10, 2, seed=0)
+    record = _recorder(test_ds, 2, True)
     other = LabeledDataset(train_ds.features.copy(), train_ds.labels, 2)
     with pytest.raises(ValueError, match="feature matrix"):
-        train_lockstep([init_model(cfg), init_model(cfg)], [train_ds, other], test_ds, [cfg, cfg])
+        train_lockstep([init_model(cfg), init_model(cfg)], [train_ds, other], [cfg, cfg], record)
     wider = MlpConfig((2, 5, 2), CE, 0.1, 10, 2, seed=0)
     with pytest.raises(ValueError, match="share layer_sizes"):
-        train_lockstep([init_model(cfg), init_model(wider)], [train_ds, train_ds], test_ds, [cfg, wider])
+        train_lockstep([init_model(cfg), init_model(wider)], [train_ds, train_ds], [cfg, wider], record)
     fr = MlpConfig((2, 4, 2), FR, 0.1, 10, 2, seed=0)
     with pytest.raises(ValueError, match="loss"):
-        train_lockstep([init_model(cfg), init_model(fr)], [train_ds, train_ds], test_ds, [cfg, fr])
+        train_lockstep([init_model(cfg), init_model(fr)], [train_ds, train_ds], [cfg, fr], record)
