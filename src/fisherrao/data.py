@@ -58,15 +58,24 @@ def write_rows(path, columns, rows) -> None:
             f.write(",".join(map(_cell, cells)) + "\n")
 
 
+def _decoded(data: bytes, path, encoding: str = "ascii") -> str:
+    """data as text, or DataFormatError naming path and the line of the first byte that does not decode."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"not {encoding} text: byte 0x{data[exc.start]:02x}", path=path, line=line) from None
+
+
 def read_rows(path, columns, parse) -> list:
     """``parse(fields)`` of every data row of a CSV whose header is ``columns``.
 
-    Raises DataFormatError with the line number on a bad header, a wrong
-    field count, or a ValueError from ``parse``.
+    Raises DataFormatError with the line number on a byte that is not ascii,
+    a bad header, a wrong field count, or a ValueError from ``parse``.
     """
     columns = list(columns)
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        lines = _decoded(f.read(), path).splitlines()
     if not lines:
         raise DataFormatError("empty file", path=path, line=1)
     header = lines[0].split(",")
@@ -265,8 +274,8 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     num_classes defaults to max(label) + 1 (at least 2).  Malformed headers
     or rows raise DataFormatError with the offending line number.
     """
-    with open(path, "r", encoding="ascii") as f:
-        m = max(f.readline().count(","), 1)  # a header without a feature column fails read_rows' check
+    with open(path, "rb") as f:
+        m = max(_decoded(f.readline(), path).count(","), 1)  # no feature column fails read_rows' header check
     columns = [f"f{j}" for j in range(m)] + ["label"]
     rows = read_rows(path, columns, lambda fields: ([float(v) for v in fields[:-1]], int(fields[-1])))
     if not rows:

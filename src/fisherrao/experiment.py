@@ -11,6 +11,7 @@ Summary accuracy is the final epoch's (acc_metric column says so); the best
 epoch's accuracy is logged alongside.
 """
 
+import io
 import os
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -18,8 +19,8 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .data import (DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, load_mnist,
-                   read_rows, write_rows)
+from .data import (DataFormatError, LabeledDataset, SyntheticSpec, _decoded, generate_synthetic, load_csv,
+                   load_mnist, read_rows, write_rows)
 from .losses import LossSpec
 from .mlp import MlpConfig, TrainingDiverged, TrainRecord, _accuracy, _recorder, init_model, train, train_lockstep
 from .noise import NoiseSpec, corrupt_labels
@@ -111,7 +112,12 @@ def parse_config(path) -> ExperimentSpec:
     Each ExperimentSpec field is a key, parsed by its type; 'hidden = none' is ().
     """
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        with open(path, "rb") as f:
+            text = _decoded(f.read(), path, "utf-8")
+    except DataFormatError as exc:
+        raise ValueError(str(exc)) from None  # a bad config is a usage error, even a byte that is not utf-8
+    with io.StringIO(text, newline=None) as f:  # universal newlines, as open() reads a text file
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

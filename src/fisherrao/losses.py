@@ -22,11 +22,12 @@ exactly p - e_y and every factor stays finite.
 Each p_y kind is one row of ``_KIND_TABLE``: h(t), |h'(t)| and the width of
 the range of sum_y L(p, y) over the simplex, which sets the robustness
 bounds.  MSE is the one kind handled apart.  The loss-layer formulas live in
-the stacked kernel alone (``_true_class``, ``_score_gradients_into`` and
-``_losses_from_t``), which takes one LossSpec for the whole stack: the
-training step runs it on the R members of a lockstep group, which all train
-the same loss, and ``score_gradients`` and ``loss_values`` are its one-member
-case.
+the stacked kernel alone (``_true_class``, ``_loss_stat``, ``_losses_from_stat``
+and ``_score_gradients_into``), which takes one LossSpec for the whole stack:
+the training step runs it on the R members of a lockstep group, which all
+train the same loss, and ``score_gradients`` and ``loss_values`` are its
+one-member case.  A sample's loss is a function of one statistic, t or, for
+MSE, ||p||^2 - 2 t, so the step stores one number per sample for its losses.
 """
 
 import math
@@ -186,24 +187,25 @@ def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
     return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q) * t
 
 
-def _true_class(probs: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
-    """Fill t = p_y (R, n), and for MSE sq = ||p||^2, from probs (R, n, K); return p_y's flat index.
-
-    labels is (R, n), already through check_labels; sq may be None where no caller reads it.
-    """
+def _true_class(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_y's flat index, t = p_y (R, n)) for probs (R, n, K) and labels (R, n), already through check_labels."""
     r, n, k = probs.shape
-    flat = np.arange(0, r * n * k, k) + labels.reshape(-1)
-    t[...] = probs.reshape(-1)[flat].reshape(r, n)
-    if spec.kind == "mse" and sq is not None:
-        sq[...] = (probs * probs).sum(axis=-1)
-    return flat
+    at_y = np.arange(0, r * n * k, k) + labels.reshape(-1)
+    return at_y, probs.reshape(-1)[at_y].reshape(r, n)
 
 
-def _losses_from_t(spec: LossSpec, t: np.ndarray, sq: np.ndarray) -> NDArray[np.float64]:
-    """Per-sample losses from t = p_y and, for MSE, sq = ||p||^2."""
+def _loss_stat(spec: LossSpec, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The one number per sample that its loss needs: t = p_y, or ||p||^2 - 2 t for MSE."""
     if spec.kind == "mse":
-        return sq - 2.0 * t + 1.0
-    return _KIND_TABLE[spec.kind].h(t, spec.q)
+        return (probs * probs).sum(axis=-1) - 2.0 * t
+    return t
+
+
+def _losses_from_stat(spec: LossSpec, stat: np.ndarray) -> NDArray[np.float64]:
+    """Per-sample losses from _loss_stat's statistic."""
+    if spec.kind == "mse":
+        return stat + 1.0
+    return _KIND_TABLE[spec.kind].h(stat, spec.q)
 
 
 def _bulk_arguments(probs, labels) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
@@ -221,9 +223,7 @@ def loss_values(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 
 
 def _loss_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
-    t, sq = np.empty((2, 1, labels.size))
-    _true_class(probs[None], labels[None], spec, t, sq)
-    out[...] = _losses_from_t(spec, t[0], sq[0])
+    out[...] = _losses_from_stat(spec, _loss_stat(spec, probs[None], _true_class(probs[None], labels[None])[1]))[0]
 
 
 def loss_value(spec: LossSpec, p, y: int) -> float:
@@ -256,15 +256,14 @@ def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
     return _KIND_TABLE[spec.kind].sum_width(k, spec.q)
 
 
-def _score_gradients_into(probs: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+def _score_gradients_into(probs: np.ndarray, at_y: np.ndarray, t: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Per-sample score gradients in place of the C-contiguous probs (R, n, K) = softmax(scores).
 
-    The other arguments are _true_class's, which fills t and sq.  For the
-    p_y-only losses the chain rule gives |h'(t)| * t * (p - e_y); the clamped
-    t appears in both factors, so CE yields exactly p - e_y.  MSE's gradient
-    is v - p * sum(v) with v = (2 p - 2 e_y) * p.
+    at_y and t are _true_class's.  For the p_y-only losses the chain rule
+    gives |h'(t)| * t * (p - e_y); the clamped t appears in both factors, so
+    CE yields exactly p - e_y.  MSE's gradient is v - p * sum(v) with
+    v = (2 p - 2 e_y) * p.
     """
-    at_y = _true_class(probs, labels, spec, t, sq)
     if spec.kind == "mse":
         v = 2.0 * probs
         v.reshape(-1)[at_y] -= 2.0
@@ -284,9 +283,8 @@ def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:
 
 
 def _gradient_rows(spec: LossSpec, probs: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
-    t = np.empty((1, labels.size))
     out[...] = probs  # out is C-contiguous, as the in-place kernel needs
-    _score_gradients_into(out[None], labels[None], spec, t, None)
+    _score_gradients_into(out[None], *_true_class(out[None], labels[None]), spec)
 
 
 def loss_gradient_scores(spec: LossSpec, scores, y: int) -> NDArray[np.float64]:

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import LabeledDataset
-from .losses import LossSpec, _losses_from_t, _score_gradients_into, loss_values
-from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
+from .losses import LossSpec, _loss_stat, _losses_from_stat, _score_gradients_into, _true_class, loss_values
+from .rng import STREAM_INIT, STREAM_SHUFFLE, check_seed, make_rng
 from .simplex import _softmax, check_label_shape, check_labels, check_num_classes, softmax
 
 
@@ -48,6 +48,7 @@ class MlpConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -134,25 +135,26 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
         yield layer, gw, gb
 
 
-def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray) -> np.ndarray:
     """Score gradient of each member's mean batch loss, in place of the stacked scores (R, n, K).
 
     Per member this is score_gradients(spec, ...) / n, bit for bit, whatever the others' scores hold;
-    t (R, n) receives t and, for MSE, sq (R, n) ||p||^2, for _batch_mean_losses.
+    stat (R, n) receives each sample's _loss_stat, taken before the gradient overwrites the probabilities.
     """
-    delta = _score_gradients_into(_softmax(scores, out=scores), check_labels(labels, scores.shape[-1]), spec, t, sq)
-    delta /= scores.shape[1]
-    return delta
+    probs = _softmax(scores, out=scores)
+    at_y, t = _true_class(probs, check_labels(labels, scores.shape[-1]))
+    stat[...] = _loss_stat(spec, probs, t)
+    return np.divide(_score_gradients_into(probs, at_y, t, spec), scores.shape[1], out=probs)
 
 
-def _batch_mean_losses(t: np.ndarray, sq: np.ndarray, spec: LossSpec, batch_size: int) -> np.ndarray:
-    """Mean loss per member (row) and batch (column) from the t and ||p||^2 stored by _loss_layer.
+def _batch_mean_losses(stat: np.ndarray, spec: LossSpec, batch_size: int) -> np.ndarray:
+    """Mean loss per member (row) and batch (column) from the statistics stored by _loss_layer.
 
     A batch is batch_size consecutive columns, the last one possibly fewer;
     each mean is loss_values(...).mean() of that batch, bit for bit.
     """
-    losses = _losses_from_t(spec, t, sq)
-    r, n = t.shape
+    losses = _losses_from_stat(spec, stat)
+    r, n = stat.shape
     full = n - n % batch_size
     means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
     return np.concatenate([means, losses[:, full:].mean(axis=1, keepdims=True)], axis=1) if full < n else means
@@ -183,14 +185,14 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    t, sq = np.empty((2, 1, y.size))
+    stat = np.empty((1, y.size))
     with np.errstate(over="ignore"):  # a score range past the float maximum shifts to -inf, and exp(-inf) is 0
-        delta = _loss_layer(acts[-1], y[None], spec, t, sq)
+        delta = _loss_layer(acts[-1], y[None], spec, stat)
     grad_w = [np.empty(0)] * len(model.weights)
     grad_b = [np.empty(0)] * len(model.biases)
     for layer, gw, gb in _backward(stack, acts, delta):
         grad_w[layer], grad_b[layer] = gw[0], gb[0]
-    return grad_w, grad_b, float(_batch_mean_losses(t, sq, spec, y.size)[0, 0])
+    return grad_w, grad_b, float(_batch_mean_losses(stat, spec, y.size)[0, 0])
 
 
 # Rows per evaluation forward pass.  Part of the numeric contract: BLAS may
@@ -273,7 +275,7 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
         model.biases[:] = [b[pos] for b in stack.biases]
     lr = np.array([c.learning_rate for c in configs])[:, None, None]
     shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
-    t_buf, sq_buf = np.empty((2, len(models), n))  # each step's t and ||p||^2, for the epoch's loss
+    stats = np.empty((len(models), n))  # each step's loss statistics, for the epoch's loss
     batch_sizes = np.diff([*range(0, n, batch_size), n])
 
     def diverge(bad: np.ndarray, epoch: int, message: str) -> None:
@@ -296,7 +298,7 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
                     diverge(alive & ~finite, epoch, "non-finite scores in forward pass")
                     if not alive.any():
                         return outcomes
-                delta = _loss_layer(acts[-1], epoch_labels[:, cols], spec, t_buf[:, cols], sq_buf[:, cols])
+                delta = _loss_layer(acts[-1], epoch_labels[:, cols], spec, stats[:, cols])
                 for layer, gw, gb in _backward(stack, acts, delta):
                     stack.weights[layer] -= np.multiply(gw, lr, out=gw)
                     stack.biases[layer] -= np.multiply(gb, lr[:, 0], out=gb)
@@ -309,7 +311,7 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
                 if not alive.any():
                     return outcomes
             loss_sum = np.zeros(len(models))
-            for batch_loss in (_batch_mean_losses(t_buf, sq_buf, spec, batch_size) * batch_sizes).T:
+            for batch_loss in (_batch_mean_losses(stats, spec, batch_size) * batch_sizes).T:
                 loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps
             for i in np.flatnonzero(alive):
                 outcomes[i].append(record(epoch, models[i], train_sets[i], float(loss_sum[i]) / n))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .rng import STREAM_NOISE, make_rng
+from .rng import STREAM_NOISE, check_seed, make_rng
 from .simplex import check_labels, check_num_classes
 
 
@@ -34,8 +34,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         check_regime(self.num_classes, self.eta)
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 def corrupt_labels(labels, spec: NoiseSpec) -> NDArray[np.int64]:

@@ -21,6 +21,12 @@ STREAM_SHUFFLE = 6
 _MASK64 = (1 << 64) - 1
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed lies in [0, 2**64), the user-facing seeds Philox is keyed by."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def make_rng(seed: int, stream: int) -> np.random.Generator:
     """Return a Philox generator keyed by ``(seed, stream)``.
 
@@ -29,8 +35,7 @@ def make_rng(seed: int, stream: int) -> np.random.Generator:
         stream: stream tag, one of the ``STREAM_*`` constants (any
             non-negative integer < 2**64 is accepted).
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     if not 0 <= int(stream) < 2**64:
         raise ValueError(f"stream must be in [0, 2**64), got {stream}")
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))

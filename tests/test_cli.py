@@ -224,6 +224,32 @@ def test_train_bad_config_is_usage_error(tmp_path):
     assert cli.run(["train", "--config", str(cfg)]) == 2
 
 
+def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg")
+    cfg.write_bytes(cfg.read_bytes().replace(b"losses = ce,fr", b"losses = ce,fr # \xe9"))
+    assert cli.run(["train", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: line 2: not utf-8 text: byte 0xe9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "grid-lr"])
+def test_dataset_csv_that_is_not_ascii_is_data_error(tmp_path, capsys, command):
+    ds = LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), np.array([0, 1, 0]), 2)
+    for name in ("train.csv", "test.csv"):
+        save_csv(ds, tmp_path / name)
+    cfg = _write_config(tmp_path / "exp.cfg", dataset="csv", train_csv=str(tmp_path / "train.csv"),
+                        test_csv=str(tmp_path / "test.csv"), lr_grid="0.1")
+    edits = (("train.csv", 3, (b"1.0,0.0,1", b"1.0,0.0,1\xc3\xa9")), ("test.csv", 1, (b"f0", b"\xc3\xa90")))
+    for name, line, edit in edits:  # a UTF-8 e-acute in a data row, then in the header
+        path = tmp_path / name
+        original = path.read_bytes()
+        path.write_bytes(original.replace(*edit))
+        assert cli.run([command, "--config", str(cfg), "--out" if command == "grid-lr" else "--out-dir",
+                        str(tmp_path / "out")]) == 3
+        assert f"error: {path}: line {line}: not ascii text: byte 0xc3" in capsys.readouterr().err
+        path.write_bytes(original)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------ grid-lr
 
 
@@ -289,7 +315,9 @@ def test_repeated_axis_entry_is_usage_error(tmp_path, capsys, command, over, nam
     ({"batch_size": "0"}, "batch_size must be >= 1, got 0"),
     ({"hidden": "0"}, "layer_sizes needs >= 2 positive entries"),
     ({"lr": "-0.1", "lr_grid": "0.1,-0.1"}, "learning_rate must be finite and >= 0, got -0.1"),
-], ids=["epochs", "batch_size", "hidden", "lr"])
+    ({"seeds": "-1,0"}, "seed must be in [0, 2**64), got -1"),  # grid-lr trains the first seed only
+    ({"seeds": "18446744073709551616,0"}, "seed must be in [0, 2**64), got 18446744073709551616"),
+], ids=["epochs", "batch_size", "hidden", "lr", "seed_negative", "seed_2_64"])
 def test_bad_run_setting_fails_before_training(tmp_path, capsys, command, over, message):
     # every cell's settings are checked before the first progress line, not after the cells before it
     cfg = _write_config(tmp_path / "exp.cfg", **{"lr_grid": "0.1,0.3", **over})
@@ -310,8 +338,9 @@ def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
         ("ce,,0.0,0.1,0.9,0\nce,,0.0,inf,0.9,1", "lr must be finite and >= 0, got inf"),
         ("ce,,0.0,0.1,0.9,1\nce,,0.0,0.3,0.9,1", "selected twice for loss=ce eta=0"),
         ("ce,,0.0,0.1,0.9,0\nce,,0.0,0.3,0.9,yes", "selected must be 0 or 1, got 'yes'"),
+        ("ce,,0.0,0.1,0.9,0\nc\u00e9,,0.0,0.3,0.9,1", "not ascii text: byte 0xc3"),
     ):
-        table.write_text(f"loss,q,eta,lr,final_test_acc,selected\n{rows}\n")
+        table.write_text(f"loss,q,eta,lr,final_test_acc,selected\n{rows}\n", encoding="utf-8")
         assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")]) == 3
         err = capsys.readouterr().err
         assert "line 3" in err and message in err

@@ -1,10 +1,12 @@
 """Property-based checks of the lockstep loss layer (``mlp._loss_layer``).
 
 The stacked layer shares one softmax, one gather of t = p_y and one p - e_y
-among all members, which train one loss; each member's score gradient, and
-its mean loss built by ``mlp._batch_mean_losses`` from the t and ||p||^2 the
-layer stores, must still be the per-member ``score_gradients(...) / n`` and
-``loss_values(...).mean()``, bit for bit, whatever the other members hold.
+among all members, which train one loss, and stores one loss statistic per
+sample (t, or ||p||^2 - 2 t for MSE).  Each member's score gradient must
+still be its ``score_gradients(...) / n``, and each mean loss that
+``mlp._batch_mean_losses`` builds from the statistics, per batch of a drawn
+size (the last one possibly partial), the ``loss_values(...).mean()`` of that
+batch, bit for bit, whatever the other members hold.
 """
 
 import numpy as np
@@ -26,19 +28,22 @@ def stacks(draw):
     r, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
     scores = draw(arrays(np.float64, (r, n, k), elements=score_values))
     labels = draw(arrays(np.int64, (r, n), elements=st.integers(0, k - 1)))
-    return scores, labels, draw(specs)
+    return scores, labels, draw(specs), draw(st.integers(1, n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(stacks())
 def test_loss_layer_matches_per_member_losses_bit_for_bit(stack):
-    scores, labels, spec = stack
+    scores, labels, spec, batch_size = stack
     n = scores.shape[1]
-    t, sq = np.empty((2, *labels.shape))
-    delta = _loss_layer(scores.copy(), labels, spec, t, sq)  # the layer overwrites the scores
-    mean_loss = _batch_mean_losses(t, sq, spec, n)[:, 0]
+    stat = np.empty(labels.shape)
+    delta = _loss_layer(scores.copy(), labels, spec, stat)  # the layer overwrites the scores
+    mean_loss = _batch_mean_losses(stat, spec, batch_size)
+    assert mean_loss.shape == (len(scores), -(-n // batch_size))
     assert np.isfinite(mean_loss).all() and np.isfinite(delta).all()
     for m in range(len(scores)):
         probs = softmax(scores[m])
-        assert mean_loss[m].tobytes() == loss_values(spec, probs, labels[m]).mean().tobytes()
+        for b, start in enumerate(range(0, n, batch_size)):
+            rows = slice(start, start + batch_size)
+            assert mean_loss[m, b].tobytes() == loss_values(spec, probs[rows], labels[m, rows]).mean().tobytes()
         assert delta[m].tobytes() == (score_gradients(spec, probs, labels[m]) / n).tobytes()

@@ -48,6 +48,9 @@ def test_config_validation():
         _config(batch=0)
     with pytest.raises(ValueError):
         _config(epochs=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            _config(seed=seed)
 
 
 # --------------------------------------------------------------------- init
