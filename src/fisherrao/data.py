@@ -7,6 +7,7 @@ Train and test sets use disjoint PRNG streams, so resizing one never
 perturbs the other.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -51,11 +52,17 @@ def write_rows(path, columns, rows) -> None:
     A row is a sequence of cells in column order, or a dict keyed by column
     name.  Floats are written with repr (exact round trip), None as ''.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [row[c] for c in columns] if isinstance(row, dict) else row
-            f.write(",".join(map(_cell, cells)) + "\n")
+    tmp = f"{path}.tmp"  # all or nothing: a write that raises leaves path as it was
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as f:
+            f.write(",".join(columns) + "\n")
+            for row in rows:
+                cells = [row[c] for c in columns] if isinstance(row, dict) else row
+                f.write(",".join(map(_cell, cells)) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _decoded(data: bytes, path, encoding: str = "ascii") -> str:

@@ -178,11 +178,6 @@ class RunResult:
     def final_test_acc(self) -> float | None:
         return self.records[-1].test_acc if self.records else None
 
-    @property
-    def best_test_acc(self) -> float | None:
-        accs = [r.test_acc for r in self.records if r.test_acc is not None]
-        return max(accs) if accs else None
-
 
 # Upper bound on the stacked parameters of one lockstep group: 21 members of
 # the 100-80-40-20-10 net, one of the 784-300-100-10 net.
@@ -342,44 +337,60 @@ def grid_search_lr(
 
 
 def summarize(results: list[RunResult]) -> list[dict]:
-    """Cross-seed aggregation per (loss, eta), in first-seen order.
+    """The summary of a sweep's results: _summary of the runs.csv rows they write."""
+    return _summary(_per_epoch_rows(results))
 
-    mean/std (population std, ddof 0) of the final-epoch test accuracy over
-    the seeds that completed; diverged seeds are excluded from the statistics
-    and counted in n_diverged.
+
+def _summary(rows) -> list[dict]:
+    """Cross-seed aggregation per (loss, eta) of runs.csv rows, in first-seen order.
+
+    A run diverged when its last row by epoch, the row of the epoch that failed,
+    has no train_loss.  mean/std (population std, ddof 0) of the final-epoch test
+    accuracy are over the seeds that completed; diverged seeds are counted in n_diverged.
     """
-    cells: dict[tuple[str, float], list[RunResult]] = {}  # dicts keep first-seen order
-    for r in results:
-        cells.setdefault((str(r.loss), r.eta), []).append(r)
-    rows = []
-    for group in cells.values():
-        loss = group[0].loss
-        finals = [r.final_test_acc for r in group if not r.diverged and r.final_test_acc is not None]
-        bests = [r.best_test_acc for r in group if not r.diverged and r.best_test_acc is not None]
-        rows.append({
-            "loss": loss.kind,
-            "q": loss.q,
-            "eta": group[0].eta,
+    runs: dict[str, list[dict]] = {}  # dicts keep first-seen order
+    for row in rows:
+        runs.setdefault(row["run_id"], []).append(row)
+    cells: dict[tuple, list[list[dict]]] = {}
+    for run in runs.values():
+        cells.setdefault((run[0]["loss"], run[0]["q"], run[0]["eta"]), []).append(run)
+        run.sort(key=lambda row: row["epoch"])
+    summary = []
+    for (loss, q, eta), group in cells.items():
+        completed = [run for run in group if run[-1]["train_loss"] is not None]
+        finals = [run[-1]["test_acc"] for run in completed if run[-1]["test_acc"] is not None]
+        accs = ([row["test_acc"] for row in run if row["test_acc"] is not None] for run in completed)
+        bests = [max(run_accs) for run_accs in accs if run_accs]
+        summary.append({
+            "loss": loss, "q": q, "eta": eta,
             "mean_test_acc": float(np.mean(finals)) if finals else float("nan"),
             "std_test_acc": float(np.std(finals)) if finals else float("nan"),
             "n_seeds": len(finals),
             "mean_best_test_acc": float(np.mean(bests)) if bests else float("nan"),
             "acc_metric": "final",
-            "n_diverged": sum(r.diverged for r in group),
+            "n_diverged": len(group) - len(completed),
         })
-    return rows
+    return summary
 
 
 def run_id(loss: LossSpec, eta: float, seed: int) -> str:
     return f"{loss}-eta{eta:g}-seed{seed}"
 
 
+def _per_epoch_rows(results: list[RunResult]):
+    """runs.csv rows keyed by PER_EPOCH_COLUMNS: one per recorded epoch and, for a
+    diverged run, one more for the epoch that failed, with empty metrics."""
+    columns = PER_EPOCH_COLUMNS.split(",")
+    for r in results:
+        head = (run_id(r.loss, r.eta, r.seed), r.loss.kind, r.loss.q, r.eta, r.seed)
+        for rec in r.records:
+            yield dict(zip(columns, head + (rec.epoch, rec.train_loss, rec.train_acc, rec.test_acc)))
+        if r.diverged:
+            yield dict(zip(columns, head + (len(r.records) + 1, None, None, None)))
+
+
 def write_per_epoch_csv(path, results: list[RunResult]) -> None:
-    write_rows(path, PER_EPOCH_COLUMNS.split(","), (
-        (run_id(r.loss, r.eta, r.seed), r.loss.kind, r.loss.q, r.eta, r.seed,
-         rec.epoch, rec.train_loss, rec.train_acc, rec.test_acc)
-        for r in results for rec in r.records
-    ))
+    write_rows(path, PER_EPOCH_COLUMNS.split(","), _per_epoch_rows(results))
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:
@@ -414,11 +425,11 @@ def read_lr_table(path) -> dict[tuple[str, float], float]:
     return table
 
 
-_PER_EPOCH_TYPES = (str, str, _optional_float, float, int, int, float, float, _optional_float)
+_PER_EPOCH_TYPES = (str, str, _optional_float, float, int, int, _optional_float, _optional_float, _optional_float)
 
 
 def read_per_epoch_csv(path) -> list[dict]:
-    """Rows of a per-epoch CSV, typed; test_acc is None where it was skipped."""
+    """Rows of a per-epoch CSV, typed; a metric is None where it was skipped or its epoch failed."""
     columns = PER_EPOCH_COLUMNS.split(",")
     return read_rows(path, columns, lambda fields: {
         col: cast(v) for col, cast, v in zip(columns, _PER_EPOCH_TYPES, fields)
@@ -426,30 +437,11 @@ def read_per_epoch_csv(path) -> list[dict]:
 
 
 def summarize_from_csv(path) -> list[dict]:
-    """Recompute the summary from a per-epoch CSV (same statistics as ``summarize``).
-
-    The per-epoch schema carries no status column, so a run is inferred to
-    have diverged when it logged fewer epochs than the longest run in the
-    file (all cells of a sweep share the same epoch budget).
-    """
+    """Recompute the summary from a per-epoch CSV, as ``summarize`` computes it from a sweep's results."""
     rows = read_per_epoch_csv(path)
     if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
-    by_run: dict[str, list[dict]] = {}  # in first-seen order
-    for row in rows:
-        by_run.setdefault(row["run_id"], []).append(row)
-    full_epochs = max(max(r["epoch"] for r in recs) for recs in by_run.values())
-    results = []
-    for recs in by_run.values():
-        recs = sorted(recs, key=lambda r: r["epoch"])
-        head = recs[0]
-        loss = LossSpec(head["loss"], head["q"])
-        results.append(RunResult(
-            loss=loss, eta=head["eta"], seed=head["seed"], lr=float("nan"),
-            records=[TrainRecord(r["epoch"], r["train_loss"], r["train_acc"], r["test_acc"]) for r in recs],
-            diverged=recs[-1]["epoch"] < full_epochs,
-        ))
-    return summarize(results)
+    return _summary(rows)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, progress=None) -> tuple[list[RunResult], list[dict]]:

@@ -142,7 +142,7 @@ def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np
     stat (R, n) receives each sample's _loss_stat, taken before the gradient overwrites the probabilities.
     """
     probs = _softmax(scores, out=scores)
-    at_y, t = _true_class(probs, check_labels(labels, scores.shape[-1]))
+    at_y, t = _true_class(probs, labels)
     stat[...] = _loss_stat(spec, probs, t)
     return np.divide(_score_gradients_into(probs, at_y, t, spec), scores.shape[1], out=probs)
 
@@ -180,7 +180,7 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    y = check_label_shape(labels, x.shape[0])
+    y = check_labels(check_label_shape(labels, x.shape[0]), model.layer_sizes[-1])
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
     acts = _forward(stack, x[None])
     if not np.all(np.isfinite(acts[-1])):

@@ -7,7 +7,7 @@ import pytest
 from fisherrao import cli
 from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
-from fisherrao.experiment import read_lr_table, read_per_epoch_csv
+from fisherrao.experiment import read_lr_table, read_per_epoch_csv, summarize_from_csv, write_summary_csv
 from fisherrao.losses import FR
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance
 
@@ -212,6 +212,20 @@ def test_train_divergence_exit_code(tmp_path):
     assert code == 4
     summary = _read_rows(out / "summary.csv")
     assert summary[0]["n_diverged"] == "1"
+
+
+def test_train_where_every_run_diverges_in_epoch_one_leaves_a_row_per_run(tmp_path):
+    cfg = _write_config(tmp_path / "exp.cfg", etas="0.0", lr="1e300")  # 2 losses x 2 seeds
+    out = tmp_path / "runs"
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 4
+    rows = read_per_epoch_csv(out / "runs.csv")
+    assert [row["run_id"] for row in rows] == ["ce-eta0-seed0", "ce-eta0-seed1", "fr-eta0-seed0", "fr-eta0-seed1"]
+    assert all((row["epoch"], row["train_loss"], row["train_acc"], row["test_acc"]) == (1, None, None, None)
+               for row in rows)
+    summary = _read_rows(out / "summary.csv")
+    assert [(s["loss"], s["n_seeds"], s["n_diverged"]) for s in summary] == [("ce", "0", "2"), ("fr", "0", "2")]
+    write_summary_csv(tmp_path / "again.csv", summarize_from_csv(out / "runs.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
 
 def test_train_missing_config_is_data_error(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from fisherrao.data import (
     load_csv,
     load_mnist,
     save_csv,
+    write_rows,
 )
 from fisherrao.rng import STREAM_TEST, STREAM_TRAIN, make_rng
 
@@ -286,6 +288,18 @@ def test_csv_round_trip(tmp_path):
     assert back.num_classes == train.num_classes
     header = path.read_text().splitlines()[0]
     assert header == ",".join([f"f{j}" for j in range(7)] + ["label"])
+
+
+def test_write_rows_that_raises_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, ("a",), [(1,)])
+    with pytest.raises(UnicodeEncodeError):
+        write_rows(path, ("a",), [(2,), ("\u00e9",)])  # not ascii, on the second row
+    assert path.read_bytes() == b"a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]  # no temp file left
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask  # a plain open's mode, not mkstemp's 0o600
 
 
 def test_csv_num_classes_override(tmp_path):
