@@ -74,17 +74,24 @@ def _decoded(data: bytes, path, encoding: str = "ascii") -> str:
         raise DataFormatError(f"not {encoding} text: byte 0x{data[exc.start]:02x}", path=path, line=line) from None
 
 
-def read_rows(path, columns, parse) -> list:
-    """``parse(fields)`` of every data row of a CSV whose header is ``columns``.
-
-    Raises DataFormatError with the line number on a byte that is not ascii,
-    a bad header, a wrong field count, or a ValueError from ``parse``.
-    """
-    columns = list(columns)
+def _csv_lines(path) -> list[str]:
+    """The lines of an ascii CSV file, read once; DataFormatError on an empty file."""
     with open(path, "rb") as f:
         lines = _decoded(f.read(), path).splitlines()
     if not lines:
         raise DataFormatError("empty file", path=path, line=1)
+    return lines
+
+
+def read_rows(path, columns, parse, lines=None) -> list:
+    """``parse(fields)`` of every data row of a CSV whose header is ``columns``.
+
+    ``lines`` are the file's lines when the caller has read them already.
+    Raises DataFormatError with the line number on a byte that is not ascii,
+    a bad header, a wrong field count, or a ValueError from ``parse``.
+    """
+    columns = list(columns)
+    lines = _csv_lines(path) if lines is None else lines
     header = lines[0].split(",")
     if header != columns:
         raise DataFormatError(f"bad header {header!r}", path=path, line=1)
@@ -281,10 +288,10 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     num_classes defaults to max(label) + 1 (at least 2).  Malformed headers
     or rows raise DataFormatError with the offending line number.
     """
-    with open(path, "rb") as f:
-        m = max(_decoded(f.readline(), path).count(","), 1)  # no feature column fails read_rows' header check
+    lines = _csv_lines(path)
+    m = max(lines[0].count(","), 1)  # no feature column fails read_rows' header check
     columns = [f"f{j}" for j in range(m)] + ["label"]
-    rows = read_rows(path, columns, lambda fields: ([float(v) for v in fields[:-1]], int(fields[-1])))
+    rows = read_rows(path, columns, lambda fields: ([float(v) for v in fields[:-1]], int(fields[-1])), lines)
     if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
     feats, labels = zip(*rows)

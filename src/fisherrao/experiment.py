@@ -11,6 +11,8 @@ Summary accuracy is the final epoch's (acc_metric column says so); the best
 epoch's accuracy is logged alongside.
 """
 
+import contextlib
+import functools
 import io
 import os
 from collections import Counter
@@ -21,7 +23,7 @@ import numpy as np
 
 from .data import (DataFormatError, LabeledDataset, SyntheticSpec, _decoded, generate_synthetic, load_csv,
                    load_mnist, read_rows, write_rows)
-from .losses import LossSpec
+from .losses import LossSpec, _exact_g
 from .mlp import MlpConfig, TrainingDiverged, TrainRecord, _accuracy, _recorder, init_model, train, train_lockstep
 from .noise import NoiseSpec, corrupt_labels
 from .rng import derive_seed
@@ -180,8 +182,13 @@ class RunResult:
 
 
 # Upper bound on the stacked parameters of one lockstep group: 21 members of
-# the 100-80-40-20-10 net, one of the 784-300-100-10 net.
+# the 100-80-40-20-10 net (98 800 B each).  A 784-300-100-10 member, 2 132 880 B,
+# is over it alone, and trains in a group of its own through _group_sizes' max(1, ...).
 GROUP_PARAM_BYTES = 2 * 1024 * 1024
+
+# OpenBLAS computes a product with batch * fan_in * fan_out at most this size on
+# one thread at any thread setting (65536 times its GEMM_MULTITHREAD_THRESHOLD of 4).
+SMALL_PRODUCT = 2**18
 
 
 def _noisy_train_set(train_ds: LabeledDataset, eta: float, eta_index: int, seed: int) -> LabeledDataset:
@@ -220,13 +227,130 @@ def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
+def _plan_groups(cells, layer_sizes: tuple[int, ...]) -> list[list[int]]:
+    """The lockstep groups of (eta_index, loss, seed, lr) cells, as cell positions, in training order.
+
+    A group trains one loss; losses come in first-seen order, each loss's cells
+    in cell order, cut into the near-equal sizes of _group_sizes.
+    """
+    groups = []
+    for loss in dict.fromkeys(loss for _, loss, _, _ in cells):
+        positions = [pos for pos, cell in enumerate(cells) if cell[1] == loss]
+        for size in _group_sizes(len(positions), layer_sizes):
+            groups.append(positions[:size])
+            positions = positions[size:]
+    return groups
+
+
+def _is_small(config: MlpConfig) -> bool:
+    """Whether every product of a training step has batch * fan_in * fan_out <= SMALL_PRODUCT."""
+    sizes = config.layer_sizes
+    return config.batch_size * max(a * b for a, b in zip(sizes[:-1], sizes[1:])) <= SMALL_PRODUCT
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, through ctypes; None without them."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _train_group(positions, configs, train_sets, record) -> list:
+    group_configs = [configs[pos] for pos in positions]
+    return train_lockstep([init_model(c) for c in group_configs], [train_sets[pos] for pos in positions],
+                          group_configs, record)
+
+
+_worker_job = None  # (groups, configs, train_sets, record) in a pool worker, inherited through fork
+
+
+def _start_worker(job, set_threads, parent: int) -> None:
+    """Pool worker set-up: keep the job, take one BLAS thread, and die with the parent (on Linux)."""
+    global _worker_job
+    _worker_job = job
+    set_threads(1)
+    import ctypes
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:  # no prctl: a worker outlives a parent killed by a signal
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: a parent killed by any signal takes its workers along
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(1)
+
+
+def _train_job_group(index: int) -> list:
+    groups, *job = _worker_job
+    return _train_group(groups[index], *job)
+
+
+@contextlib.contextmanager
+def _group_trainer(groups, configs, train_sets, record):
+    """A function from a group's index to its train_lockstep outcomes, which nothing else reads.
+
+    When every config is small and numpy's OpenBLAS thread count can be set,
+    each group computes on one BLAS thread, so its bits depend on neither the
+    CPU count nor the thread setting.  With more than one usable CPU and
+    group, and fork, the groups then train in forked workers, one BLAS thread
+    each: the inputs reach them by fork inheritance, only the outcomes come
+    back, and no worker outlives the context.  Otherwise they train here in
+    turn, pinned to one thread while small, with the old count restored after.
+    """
+    threads = _openblas_threads() if all(map(_is_small, configs)) else None
+    workers = min(_usable_cpus(), len(groups)) if threads is not None else 1
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_start_worker,
+                                       initargs=((groups, configs, train_sets, record), threads[1], os.getpid()))
+            try:
+                futures = [pool.submit(_train_job_group, index) for index in range(len(groups))]
+                yield lambda index: futures[index].result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    get_threads, set_threads = threads or (lambda: None, lambda count: None)  # no setter: left as it is
+    restore = get_threads()
+    set_threads(1)
+    try:
+        yield lambda index: _train_group(groups[index], configs, train_sets, record)
+    finally:
+        set_threads(restore)
+
+
 def _train_cells(train_ds, test_ds, spec, cells, epochs, record, tag, progress) -> list[RunResult]:
-    """Train (eta_index, loss, seed, lr) cells in lockstep groups of one loss, losses in first-seen order.
+    """Train (eta_index, loss, seed, lr) cells in the lockstep groups of _plan_groups.
 
     Results are in cell order.  The feature check, every cell's config and
     its noisy labels come before the first progress line, so a bad setting
     fails early; each (eta, seed) label set is corrupted once, for all losses.
-    A group's progress lines come when it starts, its divergence lines at its end.
+    Groups report in plan order wherever they train: a group's progress lines
+    before its outcomes are awaited, its divergence lines after.
     """
     if test_ds.num_features != train_ds.num_features:
         raise ValueError("train and test feature dimensions differ")
@@ -236,22 +360,21 @@ def _train_cells(train_ds, test_ds, spec, cells, epochs, record, tag, progress) 
     for eta_index, _, seed, _ in cells:
         if (eta_index, seed) not in noisy:
             noisy[eta_index, seed] = _noisy_train_set(train_ds, spec.etas[eta_index], eta_index, seed)
+    train_sets = [noisy[eta_index, seed] for eta_index, _, seed, _ in cells]
+    groups = _plan_groups(cells, layer_sizes)
     results: list = [None] * len(cells)
-    for loss in dict.fromkeys(loss for _, loss, _, _ in cells):
-        positions = [pos for pos, cell in enumerate(cells) if cell[1] == loss]
-        for size in _group_sizes(len(positions), layer_sizes):
-            group_positions, positions = positions[:size], positions[size:]
-            group = [cells[pos] for pos in group_positions]
-            lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}" for i, _, seed, lr in group]
+    with _group_trainer(groups, configs, train_sets, record) as train_group:
+        for index, positions in enumerate(groups):
+            lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}"
+                     for i, loss, seed, lr in (cells[pos] for pos in positions)]
             if progress is not None:
                 for line in lines:
                     progress(line)
-            group_configs = [configs[pos] for pos in group_positions]
-            outcomes = train_lockstep([init_model(c) for c in group_configs],
-                                      [noisy[i, seed] for i, _, seed, _ in group], group_configs, record)
-            for pos, (i, _, seed, lr), line, out in zip(group_positions, group, lines, outcomes):
+            for pos, line, out in zip(positions, lines, train_group(index)):
+                eta_index, loss, seed, lr = cells[pos]
                 diverged = isinstance(out, TrainingDiverged)
-                results[pos] = RunResult(loss, spec.etas[i], seed, lr, out.records if diverged else out, diverged)
+                results[pos] = RunResult(loss, spec.etas[eta_index], seed, lr, out.records if diverged else out,
+                                         diverged)
                 if diverged and progress is not None:
                     progress(f"  diverged at epoch {len(out.records) + 1}: {line}")
     return results
@@ -374,7 +497,7 @@ def _summary(rows) -> list[dict]:
 
 
 def run_id(loss: LossSpec, eta: float, seed: int) -> str:
-    return f"{loss}-eta{eta:g}-seed{seed}"
+    return f"{loss}-eta{_exact_g(eta)}-seed{seed}"
 
 
 def _per_epoch_rows(results: list[RunResult]):

@@ -110,6 +110,12 @@ _KIND_TABLE = {
 KINDS = ("mse", *_KIND_TABLE)
 
 
+def _exact_g(x: float) -> str:
+    """x as ``:g`` formats it when that text reads back as x, else as its repr, so distinct values read distinct."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """A loss selection: a kind plus, for q-CE, the exponent q in [0, 1]."""
@@ -149,7 +155,7 @@ class LossSpec:
         return f"qce(q={self.q:g})" if self.kind == "qce" else self.kind
 
     def __str__(self) -> str:
-        return f"qce:{self.q:g}" if self.kind == "qce" else self.kind
+        return f"qce:{_exact_g(self.q)}" if self.kind == "qce" else self.kind
 
 
 MSE = LossSpec("mse")

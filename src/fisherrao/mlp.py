@@ -96,6 +96,9 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
         self.records = records
 
+    def __reduce__(self):  # BaseException's would call cls(message) alone
+        return type(self), (self.args[0], self.epoch, self.records)
+
 
 def init_model(config: MlpConfig) -> MlpModel:
     """Weights uniform on [-sqrt(6/fan_in), +sqrt(6/fan_in)], biases zero."""

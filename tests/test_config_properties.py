@@ -1,19 +1,16 @@
 """Property-based round trip of the config format: ExperimentSpec -> 'key = value' text -> parse_config."""
 
+import math
 from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fisherrao.experiment import ExperimentSpec, parse_config
-from fisherrao.losses import KINDS, LossSpec
+from fisherrao.experiment import ExperimentSpec, parse_config, run_id
+from fisherrao.losses import KINDS, LossSpec, qce
 
-# qce is written as qce:<q:g>, so q is drawn from values that :g reproduces
-losses = st.one_of(
-    st.sampled_from([k for k in KINDS if k != "qce"]).map(LossSpec),
-    st.floats(0.0, 1.0).map(lambda q: LossSpec("qce", float(f"{q:g}"))),
-)
+losses = st.one_of(st.sampled_from([k for k in KINDS if k != "qce"]).map(LossSpec), st.floats(0.0, 1.0).map(qce))
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(1e-6, 10.0)
 paths = st.text("abcXYZ019_-./", min_size=1, max_size=12)
@@ -22,8 +19,8 @@ counts = st.integers(1, 10_000)
 specs = st.builds(
     ExperimentSpec,
     dataset=st.just("synthetic"),
-    losses=st.lists(losses, min_size=1, max_size=4, unique_by=str).map(tuple),
-    etas=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=4, unique_by=lambda e: f"{e:g}").map(tuple),
+    losses=st.lists(losses, min_size=1, max_size=4, unique=True).map(tuple),
+    etas=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=4, unique=True).map(tuple),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True).map(tuple),
     hidden=st.lists(st.integers(1, 512), max_size=3).map(tuple),
     batch_size=counts,
@@ -76,3 +73,24 @@ def test_parse_config_rejects_a_repeated_seed_or_eta(tmp_path, spec, axis, data)
     path.write_text(text)
     with pytest.raises(ValueError, match="duplicate run_id"):
         parse_config(path)
+
+
+def _near(x: float, lo: float, hi: float):
+    """x, or a float in [lo, hi] a few ulps, a relative 1e-5 or anything away from it."""
+    return st.one_of(
+        st.just(x),
+        st.integers(-1000, 1000).map(lambda k: x + k * math.ulp(x)),
+        st.floats(-1e-5, 1e-5).map(lambda r: x * (1 + r)),
+        st.floats(lo, hi),
+    ).filter(lambda v: lo <= v <= hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(losses, st.floats(0.0, 1.0), st.integers(0, 2**64 - 1), st.data())
+def test_distinct_cells_get_distinct_run_ids(loss, eta, seed, data):
+    # the other cell is mostly close to this one, where :g alone wrote equal text for distinct values
+    near_loss = _near(loss.q, 0.0, 1.0).map(qce) if loss.kind == "qce" else st.just(loss)
+    other = (data.draw(near_loss | losses), data.draw(_near(eta, 0.0, 1.0)),
+             data.draw(st.just(seed) | st.integers(0, 2**64 - 1)))
+    if other != (loss, eta, seed):
+        assert run_id(*other) != run_id(loss, eta, seed)

@@ -1,4 +1,12 @@
+import concurrent.futures
+import multiprocessing
+import os
 import re
+import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -142,11 +150,13 @@ def test_spec_validation():
     for over, named in [
         ({"seeds": (3, 3)}, "run_id 'ce-eta0-seed3'"),
         ({"etas": (0.4, 0.4)}, "run_id 'ce-eta0.4-seed0'"),
-        ({"etas": (0.1, 0.1000001)}, "run_id 'ce-eta0.1-seed0'"),  # equal under :g
         ({"lr_grid": (0.1, 0.3, 0.1)}, "lr_grid entry 0.1"),
     ]:
         with pytest.raises(ValueError, match=f"duplicate {re.escape(named)}"):
             _tiny_spec(**over)
+    # values equal under :g are distinct cells
+    assert _tiny_spec(etas=(0.1, 0.1000001)).etas == (0.1, 0.1000001)
+    assert _tiny_spec(losses=(qce(0.5), qce(0.5000001))).losses == (qce(0.5), qce(0.5000001))
     with pytest.raises(ValueError, match="mnist"):
         _tiny_spec(dataset="mnist")
     with pytest.raises(ValueError, match="csv"):
@@ -296,12 +306,14 @@ def test_run_sweep_results_do_not_depend_on_grouping(monkeypatch):
 def test_lockstep_groups_train_one_loss_with_results_in_cell_order(monkeypatch):
     # the benchmark's sweep_b20 shape: 4 losses x 2 etas, 3 grid rates then 5 seeds, a 100-80-40-20-10 net
     groups = []
+    plan_groups = experiment._plan_groups
 
-    def recording_train_lockstep(models, train_sets, configs, record):
-        groups.append([c.loss for c in configs])
-        return train_lockstep(models, train_sets, configs, record)
+    def recording_plan_groups(cells, layer_sizes):
+        planned = plan_groups(cells, layer_sizes)
+        groups.extend([cells[pos][1] for pos in positions] for positions in planned)
+        return planned
 
-    monkeypatch.setattr(experiment, "train_lockstep", recording_train_lockstep)
+    monkeypatch.setattr(experiment, "_plan_groups", recording_plan_groups)
     losses = tuple(map(LossSpec.parse, ("mse", "ce", "fr", "hellinger")))
     spec = _tiny_spec(losses=losses, etas=(0.0, 0.5), seeds=(1, 2, 3, 4, 5), hidden=(80, 40, 20), batch_size=20,
                       epochs=1, lr_grid=(0.03, 0.1, 0.3), features=100, classes=10, class_sep=0.35)
@@ -330,6 +342,143 @@ def test_run_sweep_reports_divergence_after_its_group():
         "  diverged at epoch 1: train loss=ce eta=0 seed=2 lr=1e+120",
         "  diverged at epoch 1: train loss=ce eta=0 seed=3 lr=1e+120",
     ]
+
+
+# ------------------------------------------------------------ process pool
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two usable CPUs; the worker counts of the process pools built.  Skipped where sweeps cannot pool."""
+    if experiment._openblas_threads() is None or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("without numpy's OpenBLAS thread setter or fork, sweeps train in-process")
+    built = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(workers, **kwargs):
+        built.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    return built
+
+
+def test_pooled_sweep_writes_the_bytes_of_one_worker(tmp_path, pools, monkeypatch):
+    spec = _tiny_spec(losses=(CE, FR, MAE), seeds=(0, 1, 2))  # three groups
+    run_experiment(spec, out_dir=tmp_path / "pool")
+    assert pools == [2]
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    run_experiment(spec, out_dir=tmp_path / "alone")
+    assert pools == [2]
+    for name in ("runs.csv", "summary.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def test_no_worker_outlives_a_pooled_sweep(pools):
+    train_ds, test_ds = _blobs()
+    spec = _tiny_spec(losses=(CE, FR, MAE))  # three groups of four cells
+    run_sweep(train_ds, test_ds, spec)
+    assert pools == [2] and multiprocessing.active_children() == []
+    lines = []
+
+    def progress(line):
+        lines.append(line)
+        if len(lines) == 6:  # in the second group, after the first one's outcomes came back
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(train_ds, test_ds, spec, progress=progress)
+    assert pools == [2, 2] and multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or shutil.which("pgrep") is None,
+                    reason="workers die with their parent through Linux's prctl; pgrep lists them")
+def test_workers_die_with_a_killed_sweep(tmp_path):
+    if experiment._openblas_threads() is None or experiment._usable_cpus() < 2:
+        pytest.skip("without numpy's OpenBLAS thread setter or a second CPU, the sweep trains in-process")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("dataset = synthetic\nlosses = ce,fr\netas = 0.0\nseeds = 0,1\nhidden = 80,40,20\n"
+                   f"batch_size = 20\nepochs = 200\nlr = 0.1\nn_train = 2000\nn_test = 500\nout_dir = {tmp_path}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiment.__file__)))
+    sweep = subprocess.Popen([sys.executable, "-m", "fisherrao.cli", "train", "--config", str(cfg)], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        sweep.stderr.readline()  # the first progress line comes after the pool has forked its workers
+        workers = subprocess.run(["pgrep", "-P", str(sweep.pid)], capture_output=True, text=True).stdout.split()
+        sweep.kill()
+        sweep.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(workers) == 2 and not any(_running(pid) for pid in workers)
+    finally:
+        sweep.kill()
+        sweep.stderr.close()
+        for pid in filter(_running, workers):
+            os.kill(int(pid), signal.SIGKILL)
+
+
+def _running(pid: str) -> bool:
+    """Whether the process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_config_over_the_small_product_builds_no_pool(pools):
+    train_ds, test_ds = _blobs()
+    layers = (2, 13108, 2)  # batch 10 x 2 x 13108 > 2**18
+    assert not experiment._is_small(MlpConfig(layers, CE, 0.1, 10, 1, 0))
+    assert experiment._is_small(MlpConfig((2, 13107, 2), CE, 0.1, 10, 1, 0))  # 262140
+    assert experiment._is_small(MlpConfig((100, 80, 40, 20, 10), CE, 0.1, 20, 1, 0))  # sweep_b20: 160000
+    assert not experiment._is_small(MlpConfig((784, 300, 100, 10), CE, 0.1, 64, 1, 0))  # wide_b64
+    results = run_sweep(train_ds, test_ds, _tiny_spec(hidden=layers[1:2], epochs=1))
+    assert pools == [] and len(results) == 8
+
+
+def test_a_diverging_group_returns_its_training_diverged_across_the_pool(pools, monkeypatch):
+    a = 1e200
+    ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)
+    spec = _tiny_spec(losses=(CE, FR), etas=(0.0,), seeds=(2, 3), hidden=(), batch_size=4, lr=1e120)
+    pooled, alone = [], []
+    results = run_sweep(ds, ds, spec, progress=pooled.append)
+    assert pools == [2]
+    assert [r.diverged for r in results] == [True] * 4
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    assert run_sweep(ds, ds, spec, progress=alone.append) == results
+    assert pooled == alone
+    assert pooled[2:4] == [
+        "  diverged at epoch 1: train loss=ce eta=0 seed=2 lr=1e+120",
+        "  diverged at epoch 1: train loss=ce eta=0 seed=3 lr=1e+120",
+    ]
+
+
+def test_an_in_process_sweep_trains_small_configs_on_one_blas_thread(monkeypatch):
+    if experiment._openblas_threads() is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    get_threads, set_threads = experiment._openblas_threads()
+    seen = []
+
+    def recording(*args):
+        seen.append(get_threads())
+        return train_lockstep(*args)
+
+    monkeypatch.setattr(experiment, "train_lockstep", recording)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    train_ds, test_ds = _blobs()
+    before = get_threads()
+    set_threads(2)
+    try:
+        run_sweep(train_ds, test_ds, _tiny_spec())  # small: pinned, then restored
+        run_sweep(train_ds, test_ds, _tiny_spec(hidden=(13108,), epochs=1))  # over 2**18: left as it is
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert seen[:2] == [1, 1] and seen[2:] == [2] * (len(seen) - 2)
 
 
 # -------------------------------------------------------------------- CSVs
@@ -499,6 +648,7 @@ def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, m
         return outcomes[-len(args[0]):]
 
     monkeypatch.setattr(experiment, "train_lockstep", recording)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)  # the recording runs where the groups train
     rows = grid_search_lr(train_ds, test_ds, spec)
     assert [r.train_acc for out in outcomes for r in out] == [None, None] * len(rows)
     assert [r.test_acc is None for out in outcomes for r in out] == [True, False] * len(rows)

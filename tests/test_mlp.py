@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -321,6 +323,13 @@ def test_train_divergence_raises_with_partial_records():
         train(model, ds, None, cfg)
     assert exc.value.epoch == 1
     assert exc.value.records == []
+
+
+def test_training_diverged_pickles_with_its_epoch_and_records():
+    exc = TrainingDiverged("non-finite scores in forward pass", epoch=2, records=[TrainRecord(1, 0.5, 0.75, None)])
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TrainingDiverged
+    assert (str(back), back.epoch, back.records) == (str(exc), 2, [TrainRecord(1, 0.5, 0.75, None)])
 
 
 def test_train_divergence_caught_by_next_step_scores_check():
