@@ -24,7 +24,7 @@ from .experiment import (
     run_experiment,
     write_lr_table_csv,
 )
-from .losses import KINDS, LossSpec, h_prime_abs, loss_values
+from .losses import KINDS, LossSpec, _exact_g, h_prime_abs, loss_values
 from .simplex import as_distribution, fisher_rao_distance, fisher_rao_from_hellinger, hellinger_distance
 
 EXIT_OK = 0
@@ -84,7 +84,8 @@ def cmd_train(args) -> int:
     print(f"{'loss':<12} {'eta':>5} {'mean_test_acc':>14} {'std':>8} {'n':>3}")
     for row in summary:
         label = str(LossSpec(row["loss"], row["q"]))
-        print(f"{label:<12} {row['eta']:>5g} {row['mean_test_acc']:>14.4f} {row['std_test_acc']:>8.4f} {row['n_seeds']:>3}")
+        print(f"{label:<12} {_exact_g(row['eta']):>5} {row['mean_test_acc']:>14.4f} {row['std_test_acc']:>8.4f} "
+              f"{row['n_seeds']:>3}")
     if args.svg:
         for eta in spec.etas:
             series = []
@@ -94,8 +95,8 @@ def cmd_train(args) -> int:
                         pts = [(rec.epoch, rec.test_acc) for rec in r.records if rec.test_acc is not None]
                         series.append((str(loss), [p[0] for p in pts], [p[1] for p in pts]))
                         break
-            path = os.path.join(out_dir, f"accuracy_eta{eta:g}.svg")
-            svgplot.line_plot(path, series, title=f"test accuracy, eta = {eta:g} (seed {spec.seeds[0]})",
+            path = os.path.join(out_dir, f"accuracy_eta{_exact_g(eta)}.svg")
+            svgplot.line_plot(path, series, title=f"test accuracy, eta = {_exact_g(eta)} (seed {spec.seeds[0]})",
                               xlabel="epoch", ylabel="test accuracy")
             print(f"wrote {path}")
     n_diverged = sum(r.diverged for r in results)
@@ -116,7 +117,8 @@ def cmd_grid_lr(args) -> int:
     for row in rows:
         if row["selected"]:
             label = str(LossSpec(row["loss"], row["q"]))
-            print(f"best lr for loss={label} eta={row['eta']:g}: {row['lr']:g} (final_test_acc={row['final_test_acc']:.4f})")
+            print(f"best lr for loss={label} eta={_exact_g(row['eta'])}: {_exact_g(row['lr'])} "
+                  f"(final_test_acc={row['final_test_acc']:.4f})")
     if any(row["final_test_acc"] < 0 for row in rows):
         print("warning: some grid runs diverged", file=sys.stderr)
         return EXIT_DIVERGED

@@ -227,16 +227,16 @@ def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
-def _plan_groups(cells, layer_sizes: tuple[int, ...]) -> list[list[int]]:
-    """The lockstep groups of (eta_index, loss, seed, lr) cells, as cell positions, in training order.
+def _plan_groups(configs) -> list[list[int]]:
+    """The lockstep groups of a sweep's configs, as positions, in training order.
 
-    A group trains one loss; losses come in first-seen order, each loss's cells
-    in cell order, cut into the near-equal sizes of _group_sizes.
+    A group trains one loss; losses come in first-seen order, each loss's configs
+    in sweep order, cut into the near-equal sizes of _group_sizes.
     """
     groups = []
-    for loss in dict.fromkeys(loss for _, loss, _, _ in cells):
-        positions = [pos for pos, cell in enumerate(cells) if cell[1] == loss]
-        for size in _group_sizes(len(positions), layer_sizes):
+    for loss in dict.fromkeys(config.loss for config in configs):
+        positions = [pos for pos, config in enumerate(configs) if config.loss == loss]
+        for size in _group_sizes(len(positions), configs[0].layer_sizes):
             groups.append(positions[:size])
             positions = positions[size:]
     return groups
@@ -280,14 +280,13 @@ def _train_group(positions, configs, train_sets, record) -> list:
                           group_configs, record)
 
 
-_worker_job = None  # (groups, configs, train_sets, record) in a pool worker, inherited through fork
+_worker_train = None  # a pool worker's _train_group with its inputs bound, inherited through fork
 
 
-def _start_worker(job, set_threads, parent: int) -> None:
-    """Pool worker set-up: keep the job, take one BLAS thread, and die with the parent (on Linux)."""
-    global _worker_job
-    _worker_job = job
-    set_threads(1)
+def _start_worker(train, parent: int) -> None:
+    """Pool worker set-up: keep the group trainer, and die with the parent (on Linux)."""
+    global _worker_train
+    _worker_train = train
     import ctypes
     import signal
 
@@ -301,82 +300,85 @@ def _start_worker(job, set_threads, parent: int) -> None:
         os._exit(1)
 
 
-def _train_job_group(index: int) -> list:
-    groups, *job = _worker_job
-    return _train_group(groups[index], *job)
+def _train_in_worker(positions) -> list:
+    return _worker_train(positions)
 
 
 @contextlib.contextmanager
-def _group_trainer(groups, configs, train_sets, record):
-    """A function from a group's index to its train_lockstep outcomes, which nothing else reads.
+def _group_outcomes(groups, configs, train_sets, record):
+    """An iterator over the groups' train_lockstep outcomes, in plan order.
 
     When every config is small and numpy's OpenBLAS thread count can be set,
-    each group computes on one BLAS thread, so its bits depend on neither the
-    CPU count nor the thread setting.  With more than one usable CPU and
-    group, and fork, the groups then train in forked workers, one BLAS thread
-    each: the inputs reach them by fork inheritance, only the outcomes come
-    back, and no worker outlives the context.  Otherwise they train here in
-    turn, pinned to one thread while small, with the old count restored after.
+    it is pinned to one thread for the whole context and the old count is
+    restored after, so a group's bits depend on neither the CPU count nor the
+    thread setting.  With more than one usable CPU and group, and fork, the
+    groups then train in forked workers, which inherit the pin and the inputs:
+    only the outcomes come back, and no worker outlives the context.
+    Otherwise each group trains here when its outcomes are read.
     """
+    train = functools.partial(_train_group, configs=configs, train_sets=train_sets, record=record)
     threads = _openblas_threads() if all(map(_is_small, configs)) else None
     workers = min(_usable_cpus(), len(groups)) if threads is not None else 1
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_start_worker,
-                                       initargs=((groups, configs, train_sets, record), threads[1], os.getpid()))
-            try:
-                futures = [pool.submit(_train_job_group, index) for index in range(len(groups))]
-                yield lambda index: futures[index].result()
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return
     get_threads, set_threads = threads or (lambda: None, lambda count: None)  # no setter: left as it is
     restore = get_threads()
     set_threads(1)
     try:
-        yield lambda index: _train_group(groups[index], configs, train_sets, record)
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                           initializer=_start_worker, initargs=(train, os.getpid()))
+                try:
+                    yield pool.map(_train_in_worker, groups)
+                finally:
+                    pool.shutdown(cancel_futures=True)
+                return
+        yield map(train, groups)
     finally:
         set_threads(restore)
 
 
-def _train_cells(train_ds, test_ds, spec, cells, epochs, record, tag, progress) -> list[RunResult]:
-    """Train (eta_index, loss, seed, lr) cells in the lockstep groups of _plan_groups.
+def _sweep_cells(train_ds, test_ds, spec, epochs, runs) -> list[tuple[int, MlpConfig]]:
+    """A sweep's (eta_index, config) cells: by eta, then loss, then each (seed, lr) of runs(loss, eta).
 
-    Results are in cell order.  The feature check, every cell's config and
-    its noisy labels come before the first progress line, so a bad setting
-    fails early; each (eta, seed) label set is corrupted once, for all losses.
-    Groups report in plan order wherever they train: a group's progress lines
-    before its outcomes are awaited, its divergence lines after.
+    Every config is built here, before anything trains, so a bad setting fails early.
     """
     if test_ds.num_features != train_ds.num_features:
         raise ValueError("train and test feature dimensions differ")
     layer_sizes = (train_ds.num_features, *spec.hidden, train_ds.num_classes)
-    configs = [MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed) for _, loss, seed, lr in cells]
-    noisy = {}
-    for eta_index, _, seed, _ in cells:
-        if (eta_index, seed) not in noisy:
-            noisy[eta_index, seed] = _noisy_train_set(train_ds, spec.etas[eta_index], eta_index, seed)
-    train_sets = [noisy[eta_index, seed] for eta_index, _, seed, _ in cells]
-    groups = _plan_groups(cells, layer_sizes)
+    return [(eta_index, MlpConfig(layer_sizes, loss, lr, spec.batch_size, epochs, seed))
+            for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed, lr in runs(loss, eta)]
+
+
+def _train_cells(train_ds, etas, cells, record, tag, progress) -> list[RunResult]:
+    """Train (eta_index, config) cells in the lockstep groups of _plan_groups; results in cell order.
+
+    Each (eta, seed) label set is corrupted once, for all losses, before the
+    first progress line.  Groups report in plan order wherever they train: a
+    group's progress lines before its outcomes are awaited, its divergence
+    lines after.
+    """
+    progress = progress or (lambda line: None)
+    configs = [config for _, config in cells]
+    noisy = functools.cache(lambda eta_index, seed: _noisy_train_set(train_ds, etas[eta_index], eta_index, seed))
+    train_sets = [noisy(eta_index, config.seed) for eta_index, config in cells]
+    lines = [f"{tag} loss={config.loss} eta={_exact_g(etas[eta_index])} seed={config.seed} "
+             f"lr={_exact_g(config.learning_rate)}" for eta_index, config in cells]
+    groups = _plan_groups(configs)
     results: list = [None] * len(cells)
-    with _group_trainer(groups, configs, train_sets, record) as train_group:
-        for index, positions in enumerate(groups):
-            lines = [f"{tag} loss={loss} eta={spec.etas[i]:g} seed={seed} lr={lr:g}"
-                     for i, loss, seed, lr in (cells[pos] for pos in positions)]
-            if progress is not None:
-                for line in lines:
-                    progress(line)
-            for pos, line, out in zip(positions, lines, train_group(index)):
-                eta_index, loss, seed, lr = cells[pos]
+    with _group_outcomes(groups, configs, train_sets, record) as outcomes:
+        for positions in groups:
+            for pos in positions:
+                progress(lines[pos])
+            for pos, out in zip(positions, next(outcomes)):
+                eta_index, config = cells[pos]
                 diverged = isinstance(out, TrainingDiverged)
-                results[pos] = RunResult(loss, spec.etas[eta_index], seed, lr, out.records if diverged else out,
-                                         diverged)
-                if diverged and progress is not None:
-                    progress(f"  diverged at epoch {len(out.records) + 1}: {line}")
+                results[pos] = RunResult(config.loss, etas[eta_index], config.seed, config.learning_rate,
+                                         out.records if diverged else out, diverged)
+                if diverged:
+                    progress(f"  diverged at epoch {len(out.records) + 1}: {lines[pos]}")
     return results
 
 
@@ -395,12 +397,10 @@ def run_sweep(
     """
     if lr_for is None:
         lr_for = make_lr_lookup(spec)
-    cells = [
-        (eta_index, loss, seed, lr_for(loss, eta))
-        for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed in spec.seeds
-    ]
+    cells = _sweep_cells(train_ds, test_ds, spec, spec.epochs,
+                         lambda loss, eta: [(seed, lr_for(loss, eta)) for seed in spec.seeds])
     record = _recorder(test_ds, spec.epochs, spec.eval_every_epoch)
-    return _train_cells(train_ds, test_ds, spec, cells, spec.epochs, record, "train", progress)
+    return _train_cells(train_ds, spec.etas, cells, record, "train", progress)
 
 
 def make_lr_lookup(spec: ExperimentSpec):
@@ -411,7 +411,7 @@ def make_lr_lookup(spec: ExperimentSpec):
         def from_table(loss: LossSpec, eta: float) -> float:
             key = (str(loss), eta)
             if key not in table:
-                raise ValueError(f"{spec.lr_file}: no learning rate for loss={loss} eta={eta:g}")
+                raise ValueError(f"{spec.lr_file}: no learning rate for loss={loss} eta={_exact_g(eta)}")
             return table[key]
 
         return from_table
@@ -436,16 +436,14 @@ def grid_search_lr(
     if not spec.lr_grid:
         raise ValueError("config needs a nonempty lr_grid for grid search")
     epochs = spec.grid_epochs if spec.grid_epochs is not None else spec.epochs
-    cells = [
-        (eta_index, loss, spec.seeds[0], lr)
-        for eta_index in range(len(spec.etas)) for loss in spec.losses for lr in spec.lr_grid
-    ]
+    cells = _sweep_cells(train_ds, test_ds, spec, epochs,
+                         lambda loss, eta: [(spec.seeds[0], lr) for lr in spec.lr_grid])
 
     def final_test_acc(epoch, model, _, train_loss) -> TrainRecord:
         # selection reads only the final test accuracy, so grid runs skip the train-accuracy passes
         return TrainRecord(epoch, train_loss, None, _accuracy(model, test_ds) if epoch == epochs else None)
 
-    results = _train_cells(train_ds, test_ds, spec, cells, epochs, final_test_acc, "grid", progress)
+    results = _train_cells(train_ds, spec.etas, cells, final_test_acc, "grid", progress)
     rows = []
     for start in range(0, len(results), len(spec.lr_grid)):
         group = results[start : start + len(spec.lr_grid)]
@@ -541,7 +539,7 @@ def read_lr_table(path) -> dict[tuple[str, float], float]:
         key = (str(LossSpec(loss, _optional_float(q))), float(eta))
         if chosen == "1":
             if key in table:
-                raise ValueError(f"selected twice for loss={key[0]} eta={key[1]:g}")
+                raise ValueError(f"selected twice for loss={key[0]} eta={_exact_g(key[1])}")
             table[key] = float(lr)
 
     read_rows(path, LR_TABLE_COLUMNS, select)

@@ -193,6 +193,23 @@ def test_train_end_to_end_with_svg(tmp_path, capsys):
         ET.parse(svg)
 
 
+def test_cells_that_run_id_tells_apart_print_apart(tmp_path, capsys):
+    # 0.1000001 reads 0.1 under :g; every line and file name must tell the two etas apart as run_id does
+    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.1,0.1000001", seeds="0", lr="0.1000001",
+                        lr_grid="0.1000001")
+    out = tmp_path / "runs"
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(out), "--svg"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "train loss=ce eta=0.1 seed=0 lr=0.1000001", "train loss=ce eta=0.1000001 seed=0 lr=0.1000001"]
+    assert [line.split()[:2] for line in captured.out.splitlines()[3:5]] == [["ce", "0.1"], ["ce", "0.1000001"]]
+    assert sorted(path.name for path in out.glob("*.svg")) == ["accuracy_eta0.1.svg", "accuracy_eta0.1000001.svg"]
+    assert "eta = 0.1000001 (seed 0)" in (out / "accuracy_eta0.1000001.svg").read_text()
+    assert cli.run(["grid-lr", "--config", str(cfg), "--out", str(tmp_path / "lr.csv")]) == 0
+    best = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert best == ["best lr for loss=ce eta=0.1: 0.1000001", "best lr for loss=ce eta=0.1000001: 0.1000001"]
+
+
 def test_train_divergence_exit_code(tmp_path):
     a = 1e200
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])

@@ -308,9 +308,9 @@ def test_lockstep_groups_train_one_loss_with_results_in_cell_order(monkeypatch):
     groups = []
     plan_groups = experiment._plan_groups
 
-    def recording_plan_groups(cells, layer_sizes):
-        planned = plan_groups(cells, layer_sizes)
-        groups.extend([cells[pos][1] for pos in positions] for positions in planned)
+    def recording_plan_groups(configs):
+        planned = plan_groups(configs)
+        groups.extend([configs[pos].loss for pos in positions] for positions in planned)
         return planned
 
     monkeypatch.setattr(experiment, "_plan_groups", recording_plan_groups)
@@ -427,6 +427,27 @@ def _running(pid: str) -> bool:
             return f.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def test_pooled_workers_compute_on_one_blas_thread(pools, monkeypatch):
+    # the workers inherit the sweep's pin through fork; none of them sets the count itself
+    get_threads, set_threads = experiment._openblas_threads()
+
+    def pinned(*args):
+        if get_threads() != 1:
+            raise RuntimeError(f"a group trains on {get_threads()} BLAS threads")
+        return train_lockstep(*args)
+
+    monkeypatch.setattr(experiment, "train_lockstep", pinned)
+    train_ds, test_ds = _blobs()
+    before = get_threads()
+    set_threads(2)
+    try:
+        results = run_sweep(train_ds, test_ds, _tiny_spec(losses=(CE, FR, MAE)))
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert pools == [2] and len(results) == 12
 
 
 def test_a_config_over_the_small_product_builds_no_pool(pools):

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +17,7 @@ from fisherrao.losses import (
     h_prime_abs,
     loss_gradient_scores,
     loss_sum_over_classes,
+    loss_sum_range_width,
     loss_value,
     loss_values,
     q_logarithm,
@@ -217,6 +218,60 @@ def test_gradient_weight_ordered_mae_hellinger_fr_ce(ts):
     t = np.array(ts)
     mae, hel, fr, ce = (gradient_weight(spec, t) for spec in (MAE, HELLINGER, FR, CE))
     assert np.all(mae <= hel) and np.all(hel <= fr) and np.all(fr <= ce) and np.all(ce <= 1.0)
+
+
+# ------------------------------------------- FR against q-CE of equal robustness
+
+
+def _equal_width_q(k: int) -> float:
+    """q* in (0, 1) where qce(q*)'s loss-sum width equals FR's, by bisection (the width grows with q)."""
+    target, lo, hi = loss_sum_range_width(FR, k), 0.0, 1.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if loss_sum_range_width(qce(mid), k) < target else (lo, mid)
+    return lo
+
+
+# t on (0, 1): log steps toward both ends, then the last 4095 floats below 1
+_GAP_TS = np.unique(np.concatenate([
+    np.geomspace(CLAMP_EPS, 0.5, 4000), 1.0 - np.geomspace(0.5, 2.0**-53, 4000), 1.0 - np.arange(1, 2**12) * 2.0**-53,
+]))
+
+
+def _weight_gap_crossings(k: int):
+    """(q*, the signs of FR's gradient weight minus qce(q*)'s where they differ, the t between which they flip)."""
+    q = _equal_width_q(k)
+    gap = gradient_weight(FR, _GAP_TS) - gradient_weight(qce(q), _GAP_TS)
+    ts, signs = _GAP_TS[gap != 0.0], np.sign(gap[gap != 0.0])  # the gap closes near t = 1 without crossing
+    flips = np.flatnonzero(signs[1:] != signs[:-1])
+    return q, signs, [(ts[i], ts[i + 1]) for i in flips]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10**4))
+@example(2)
+@example(10**4)
+def test_fr_outweighs_qce_of_equal_width_above_one_crossing(k):
+    # qce(q*) has FR's loss-sum width, so FR's bounds A and B at every eta; FR's weight |h'(t)| t
+    # is the larger on (t_c, 1) and the smaller on (0, t_c)
+    q, signs, crossings = _weight_gap_crossings(k)
+    assert 0.5 < q < 0.6 and loss_sum_range_width(qce(q), k) == pytest.approx(loss_sum_range_width(FR, k), rel=1e-14)
+    assert len(crossings) == 1 and signs[0] < 0 < signs[-1]
+
+
+def test_equal_width_q_and_crossing_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    table = {2: (0.5903, 0.015), 3: (0.5874, 0.012), 10: (0.5782, 0.0056), 100: (0.5615, 0.00088),
+             10**4: (0.5396, 1.2e-5)}  # K: (q*, t_c)
+    for k, (q_rounded, t_c_rounded) in table.items():
+        with mp.workdps(40):
+            kk = mp.mpf(k)
+            fr_width = mp.pi**2 / 4 * (kk - 1) - kk * mp.acos(1 / mp.sqrt(kk)) ** 2
+            q_star = mp.findroot(lambda q: (kk**q - 1) / (1 - q) - fr_width, mp.mpf("0.55"))
+            t_c = mp.findroot(lambda t: mp.acos(mp.sqrt(t)) * mp.sqrt(t / (1 - t)) - t ** (1 - q_star),
+                              (mp.mpf("1e-8"), mp.mpf("0.1")), solver="anderson")
+        q, _, [(below, above)] = _weight_gap_crossings(k)
+        assert abs(q - q_star) < 1e-12 and below < t_c < above
+        assert round(float(q_star), 4) == q_rounded and float(mp.nstr(t_c, 2)) == t_c_rounded
 
 
 # ---------------------------------------------------------------- gradients
