@@ -62,13 +62,13 @@ def main():
           f"{SPEC.epochs} epochs, seeds {SPEC.seeds}")
     print()
 
-    results = run_sweep(
+    runs = run_sweep(
         train_ds, test_ds, SPEC,
         lr_for=lambda loss, eta: LR[eta],
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    write_per_epoch_csv(OUT / "runs.csv", results)
-    summary = summarize(results)
+    write_per_epoch_csv(OUT / "runs.csv", runs)
+    summary = summarize(runs)
     write_summary_csv(OUT / "summary.csv", summary)
 
     print("mean final test accuracy over seeds (std):")
@@ -89,8 +89,10 @@ def main():
     # per-epoch test accuracy under noise, averaged over seeds
     series = []
     for loss in SPEC.losses:
-        runs = [r for r in results if r.loss == loss and r.eta == 0.5 and not r.diverged]
-        curves = np.array([[rec.test_acc for rec in r.records] for r in runs])
+        # a diverged run ends with the row of its failed epoch, which has no train_loss
+        completed = [run for run in runs if run[0]["loss"] == loss.kind and run[0]["eta"] == 0.5
+                     and run[-1]["train_loss"] is not None]
+        curves = np.array([[row["test_acc"] for row in run] for run in completed])
         mean = curves.mean(axis=0)
         series.append((loss.label, list(range(1, SPEC.epochs + 1)), list(mean)))
     path = OUT / "test_acc_eta05.svg"

@@ -22,6 +22,7 @@ from .experiment import (
     load_datasets,
     parse_config,
     run_experiment,
+    run_id,
     write_lr_table_csv,
 )
 from .losses import KINDS, LossSpec, _exact_g, h_prime_abs, loss_values
@@ -78,7 +79,7 @@ def cmd_bounds(args) -> int:
 def cmd_train(args) -> int:
     spec = parse_config(args.config)
     out_dir = args.out_dir if args.out_dir else spec.out_dir
-    results, summary = run_experiment(spec, out_dir=out_dir, progress=_progress)
+    runs, summary = run_experiment(spec, out_dir=out_dir, progress=_progress)
     print(f"wrote {os.path.join(out_dir, 'runs.csv')}")
     print(f"wrote {os.path.join(out_dir, 'summary.csv')}")
     print(f"{'loss':<12} {'eta':>5} {'mean_test_acc':>14} {'std':>8} {'n':>3}")
@@ -87,19 +88,18 @@ def cmd_train(args) -> int:
         print(f"{label:<12} {_exact_g(row['eta']):>5} {row['mean_test_acc']:>14.4f} {row['std_test_acc']:>8.4f} "
               f"{row['n_seeds']:>3}")
     if args.svg:
+        by_id = {run[0]["run_id"]: run for run in runs}
         for eta in spec.etas:
             series = []
             for loss in spec.losses:
-                for r in results:
-                    if str(r.loss) == str(loss) and r.eta == eta and r.seed == spec.seeds[0]:
-                        pts = [(rec.epoch, rec.test_acc) for rec in r.records if rec.test_acc is not None]
-                        series.append((str(loss), [p[0] for p in pts], [p[1] for p in pts]))
-                        break
+                pts = [(row["epoch"], row["test_acc"]) for row in by_id[run_id(loss, eta, spec.seeds[0])]
+                       if row["test_acc"] is not None]
+                series.append((str(loss), [p[0] for p in pts], [p[1] for p in pts]))
             path = os.path.join(out_dir, f"accuracy_eta{_exact_g(eta)}.svg")
             svgplot.line_plot(path, series, title=f"test accuracy, eta = {_exact_g(eta)} (seed {spec.seeds[0]})",
                               xlabel="epoch", ylabel="test accuracy")
             print(f"wrote {path}")
-    n_diverged = sum(r.diverged for r in results)
+    n_diverged = sum(row["n_diverged"] for row in summary)
     if n_diverged:
         print(f"warning: {n_diverged} run(s) diverged", file=sys.stderr)
         return EXIT_DIVERGED

@@ -16,7 +16,7 @@ import functools
 import io
 import os
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import get_args, get_origin
 
 import numpy as np
@@ -111,9 +111,9 @@ _REQUIRED = {f.name for f in fields(ExperimentSpec) if f.default is MISSING and 
 def parse_config(path) -> ExperimentSpec:
     """Parse a flat 'key = value' config file ('#' starts a comment).
 
-    Each ExperimentSpec field is a key, parsed by its type; 'hidden = none' is ().
+    Each ExperimentSpec field is a key, given at most once, parsed by its type; 'hidden = none' is ().
     """
-    values: dict = {}
+    values, key_lines = {}, {}
     try:
         with open(path, "rb") as f:
             text = _decoded(f.read(), path, "utf-8")
@@ -131,6 +131,9 @@ def parse_config(path) -> ExperimentSpec:
             try:
                 if key not in _PARSERS:
                     raise ValueError(f"unknown key {key!r}")
+                if key in key_lines:
+                    raise ValueError(f"key {key!r} repeats line {key_lines[key]}; give each key once")
+                key_lines[key] = lineno
                 values[key] = () if key == "hidden" and val.lower() == "none" else _PARSERS[key](val)
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
@@ -165,22 +168,6 @@ def load_datasets(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset]
     return train_ds, test_ds
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of one (loss, eta, seed) training cell."""
-
-    loss: LossSpec
-    eta: float
-    seed: int
-    lr: float
-    records: list[TrainRecord] = field(default_factory=list)
-    diverged: bool = False
-
-    @property
-    def final_test_acc(self) -> float | None:
-        return self.records[-1].test_acc if self.records else None
-
-
 # Upper bound on the stacked parameters of one lockstep group: 21 members of
 # the 100-80-40-20-10 net (98 800 B each).  A 784-300-100-10 member, 2 132 880 B,
 # is over it alone, and trains in a group of its own through _group_sizes' max(1, ...).
@@ -208,15 +195,26 @@ def run_cell(
     epochs: int,
     lr: float,
     eval_every_epoch: bool = True,
-) -> RunResult:
-    """Corrupt a fresh copy of the training labels, train one model, record."""
+) -> list[dict]:
+    """Corrupt a fresh copy of the training labels, train one model; its runs.csv rows."""
     noisy_ds = _noisy_train_set(train_ds, eta, eta_index, seed)
     config = MlpConfig((train_ds.num_features, *hidden, train_ds.num_classes), loss, lr, batch_size, epochs, seed)
     try:
-        records = train(init_model(config), noisy_ds, test_ds, config, eval_test_every_epoch=eval_every_epoch)
+        outcome = train(init_model(config), noisy_ds, test_ds, config, eval_test_every_epoch=eval_every_epoch)
     except TrainingDiverged as exc:
-        return RunResult(loss, eta, seed, lr, records=exc.records, diverged=True)
-    return RunResult(loss, eta, seed, lr, records=records)
+        outcome = exc
+    return _run_rows(loss, eta, seed, outcome)
+
+
+def _run_rows(loss: LossSpec, eta: float, seed: int, outcome) -> list[dict]:
+    """A run's runs.csv rows, keyed by PER_EPOCH_COLUMNS, from its records or its TrainingDiverged:
+    one row per record and, for a TrainingDiverged, one more at the epoch that failed, with empty metrics."""
+    records = outcome
+    if isinstance(outcome, TrainingDiverged):
+        records = [*outcome.records, TrainRecord(outcome.epoch, None, None, None)]
+    head = (run_id(loss, eta, seed), loss.kind, loss.q, eta, seed)
+    return [dict(zip(PER_EPOCH_COLUMNS.split(","), head + (rec.epoch, rec.train_loss, rec.train_acc, rec.test_acc)))
+            for rec in records]
 
 
 def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
@@ -352,8 +350,8 @@ def _sweep_cells(train_ds, test_ds, spec, epochs, runs) -> list[tuple[int, MlpCo
             for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed, lr in runs(loss, eta)]
 
 
-def _train_cells(train_ds, etas, cells, record, tag, progress) -> list[RunResult]:
-    """Train (eta_index, config) cells in the lockstep groups of _plan_groups; results in cell order.
+def _train_cells(train_ds, etas, cells, record, tag, progress) -> list[list[dict]]:
+    """Train (eta_index, config) cells in the lockstep groups of _plan_groups; each run's rows, in cell order.
 
     Each (eta, seed) label set is corrupted once, for all losses, before the
     first progress line.  Groups report in plan order wherever they train: a
@@ -367,19 +365,17 @@ def _train_cells(train_ds, etas, cells, record, tag, progress) -> list[RunResult
     lines = [f"{tag} loss={config.loss} eta={_exact_g(etas[eta_index])} seed={config.seed} "
              f"lr={_exact_g(config.learning_rate)}" for eta_index, config in cells]
     groups = _plan_groups(configs)
-    results: list = [None] * len(cells)
+    runs: list = [None] * len(cells)
     with _group_outcomes(groups, configs, train_sets, record) as outcomes:
         for positions in groups:
             for pos in positions:
                 progress(lines[pos])
             for pos, out in zip(positions, next(outcomes)):
                 eta_index, config = cells[pos]
-                diverged = isinstance(out, TrainingDiverged)
-                results[pos] = RunResult(config.loss, etas[eta_index], config.seed, config.learning_rate,
-                                         out.records if diverged else out, diverged)
-                if diverged:
-                    progress(f"  diverged at epoch {len(out.records) + 1}: {lines[pos]}")
-    return results
+                runs[pos] = _run_rows(config.loss, etas[eta_index], config.seed, out)
+                if isinstance(out, TrainingDiverged):
+                    progress(f"  diverged at epoch {out.epoch}: {lines[pos]}")
+    return runs
 
 
 def run_sweep(
@@ -388,8 +384,8 @@ def run_sweep(
     spec: ExperimentSpec,
     lr_for=None,
     progress=None,
-) -> list[RunResult]:
-    """All (eta, loss, seed) cells in deterministic order.
+) -> list[list[dict]]:
+    """The runs.csv rows of each (eta, loss, seed) cell's run, in deterministic order.
 
     lr_for(loss, eta) supplies the learning rate per cell; default is the
     spec's fixed lr (or the table loaded from spec.lr_file).  Every rate is
@@ -443,23 +439,19 @@ def grid_search_lr(
         # selection reads only the final test accuracy, so grid runs skip the train-accuracy passes
         return TrainRecord(epoch, train_loss, None, _accuracy(model, test_ds) if epoch == epochs else None)
 
-    results = _train_cells(train_ds, spec.etas, cells, final_test_acc, "grid", progress)
-    rows = []
-    for start in range(0, len(results), len(spec.lr_grid)):
-        group = results[start : start + len(spec.lr_grid)]
-        accs = [-1.0 if r.diverged or r.final_test_acc is None else r.final_test_acc for r in group]
-        best = int(np.argmax(accs))  # first max -> smallest lr on ties
-        for i, (r, acc) in enumerate(zip(group, accs)):
-            rows.append({
-                "loss": r.loss.kind, "q": r.loss.q, "eta": r.eta, "lr": r.lr,
-                "final_test_acc": acc, "selected": int(i == best),
-            })
+    # a run scores its last row's test accuracy: -1 when that row has none, as the failed row of a diverged run
+    accs = [-1.0 if run[-1]["test_acc"] is None else run[-1]["test_acc"]
+            for run in _train_cells(train_ds, spec.etas, cells, final_test_acc, "grid", progress)]
+    rows = [{"loss": config.loss.kind, "q": config.loss.q, "eta": spec.etas[eta_index], "lr": config.learning_rate,
+             "final_test_acc": acc, "selected": 0} for (eta_index, config), acc in zip(cells, accs)]
+    for start in range(0, len(rows), len(spec.lr_grid)):  # the first max of each (loss, eta): the smallest lr on ties
+        rows[start + int(np.argmax(accs[start : start + len(spec.lr_grid)]))]["selected"] = 1
     return rows
 
 
-def summarize(results: list[RunResult]) -> list[dict]:
-    """The summary of a sweep's results: _summary of the runs.csv rows they write."""
-    return _summary(_per_epoch_rows(results))
+def summarize(runs: list[list[dict]]) -> list[dict]:
+    """The summary of a sweep's runs, each given as its runs.csv rows."""
+    return _summary(row for run in runs for row in run)
 
 
 def _summary(rows) -> list[dict]:
@@ -498,20 +490,8 @@ def run_id(loss: LossSpec, eta: float, seed: int) -> str:
     return f"{loss}-eta{_exact_g(eta)}-seed{seed}"
 
 
-def _per_epoch_rows(results: list[RunResult]):
-    """runs.csv rows keyed by PER_EPOCH_COLUMNS: one per recorded epoch and, for a
-    diverged run, one more for the epoch that failed, with empty metrics."""
-    columns = PER_EPOCH_COLUMNS.split(",")
-    for r in results:
-        head = (run_id(r.loss, r.eta, r.seed), r.loss.kind, r.loss.q, r.eta, r.seed)
-        for rec in r.records:
-            yield dict(zip(columns, head + (rec.epoch, rec.train_loss, rec.train_acc, rec.test_acc)))
-        if r.diverged:
-            yield dict(zip(columns, head + (len(r.records) + 1, None, None, None)))
-
-
-def write_per_epoch_csv(path, results: list[RunResult]) -> None:
-    write_rows(path, PER_EPOCH_COLUMNS.split(","), _per_epoch_rows(results))
+def write_per_epoch_csv(path, runs: list[list[dict]]) -> None:
+    write_rows(path, PER_EPOCH_COLUMNS.split(","), (row for run in runs for row in run))
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:
@@ -558,20 +538,20 @@ def read_per_epoch_csv(path) -> list[dict]:
 
 
 def summarize_from_csv(path) -> list[dict]:
-    """Recompute the summary from a per-epoch CSV, as ``summarize`` computes it from a sweep's results."""
+    """Recompute the summary from a per-epoch CSV, as ``summarize`` computes it from a sweep's runs."""
     rows = read_per_epoch_csv(path)
     if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
     return _summary(rows)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None, progress=None) -> tuple[list[RunResult], list[dict]]:
-    """Load data, run the sweep, write runs.csv and summary.csv under out_dir."""
+def run_experiment(spec: ExperimentSpec, out_dir=None, progress=None) -> tuple[list[list[dict]], list[dict]]:
+    """Load data, run the sweep, write runs.csv and summary.csv under out_dir; each run's rows and the summary."""
     out = spec.out_dir if out_dir is None else out_dir
     train_ds, test_ds = load_datasets(spec)
-    results = run_sweep(train_ds, test_ds, spec, progress=progress)
+    runs = run_sweep(train_ds, test_ds, spec, progress=progress)
     os.makedirs(out, exist_ok=True)
-    write_per_epoch_csv(os.path.join(out, "runs.csv"), results)
-    summary = summarize(results)
+    write_per_epoch_csv(os.path.join(out, "runs.csv"), runs)
+    summary = summarize(runs)
     write_summary_csv(os.path.join(out, "summary.csv"), summary)
-    return results, summary
+    return runs, summary

@@ -188,9 +188,8 @@ def q_logarithm(x, q: float):
 
 
 def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
-    """|h'(t)| t with t clamped to [CLAMP_EPS, 1]: the factor on p - e_y in the score gradient."""
-    t = _clamp(t)
-    return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q) * t
+    """|h'(t)| t with t clamped to [CLAMP_EPS, 1]: the factor on p - e_y in the score gradient; not for MSE."""
+    return h_prime_abs(spec, t) * _clamp(t)
 
 
 def _true_class(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

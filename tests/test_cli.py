@@ -255,6 +255,13 @@ def test_train_bad_config_is_usage_error(tmp_path):
     assert cli.run(["train", "--config", str(cfg)]) == 2
 
 
+def test_config_with_a_repeated_key_is_usage_error_naming_both_lines(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg")
+    cfg.write_text(cfg.read_text() + "epochs = 5\n", encoding="utf-8")  # line 15; the first is line 7
+    assert cli.run(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 15: key 'epochs' repeats line 7; give each key once\n"
+
+
 def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.cfg")
     cfg.write_bytes(cfg.read_bytes().replace(b"losses = ce,fr", b"losses = ce,fr # \xe9"))

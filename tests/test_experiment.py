@@ -18,7 +18,6 @@ from fisherrao.experiment import (
     PER_EPOCH_COLUMNS,
     SUMMARY_COLUMNS,
     ExperimentSpec,
-    RunResult,
     grid_search_lr,
     load_datasets,
     make_lr_lookup,
@@ -37,7 +36,7 @@ from fisherrao.experiment import (
     _group_sizes,
 )
 from fisherrao.losses import CE, FR, MAE, LossSpec, qce
-from fisherrao.mlp import MlpConfig, TrainRecord, init_model, train, train_lockstep
+from fisherrao.mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
 from fisherrao.noise import NoiseSpec, corrupt_labels
 from fisherrao.rng import derive_seed
 
@@ -132,6 +131,15 @@ def test_parse_config_bad_lines(tmp_path, line, fragment):
         parse_config(cfg)
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = synthetic\nlosses = ce\netas = 0.0\nseeds = 0\nlr = 0.1\n"
+                   "hidden = 4\nbatch_size = 5\nepochs = 1\nlr = 0.3\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(cfg)
+    assert str(exc.value) == f"{cfg}: line 9: key 'lr' repeats line 5; give each key once"
+
+
 def test_parse_config_missing_required(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("dataset = synthetic\nlosses = ce\n")
@@ -205,27 +213,26 @@ def test_load_datasets_feature_mismatch(tmp_path):
 
 def test_run_cell_matches_manual_pipeline():
     train_ds, test_ds = _blobs()
-    result = run_cell(train_ds, test_ds, FR, 0.4, 2, 7, (4,), 10, 3, 0.1)
+    rows = run_cell(train_ds, test_ds, FR, 0.4, 2, 7, (4,), 10, 3, 0.1)
     # corruption seed is derived from (repetition seed, eta position)
     noise = NoiseSpec(0.4, derive_seed(7, 2), train_ds.num_classes)
     noisy = train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
     cfg = MlpConfig((2, 4, 2), FR, 0.1, 10, 3, seed=7)
     records = train(init_model(cfg), noisy, test_ds, cfg)
-    assert not result.diverged
-    assert [(r.epoch, r.train_loss, r.train_acc, r.test_acc) for r in result.records] == [
+    assert [row["run_id"] for row in rows] == ["fr-eta0.4-seed7"] * 3
+    assert [(r["epoch"], r["train_loss"], r["train_acc"], r["test_acc"]) for r in rows] == [
         (r.epoch, r.train_loss, r.train_acc, r.test_acc) for r in records
     ]
-    assert result.final_test_acc == records[-1].test_acc
 
 
 def test_run_cell_divergence_is_captured(tmp_path):
     a = 1e200
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])
     ds = LabeledDataset(feats, np.array([0, 1, 0, 1]), 2)
-    result = run_cell(ds, ds, CE, 0.0, 0, 2, (), 4, 3, 1e120)
-    assert result.diverged
-    assert result.records == []
-    assert result.final_test_acc is None
+    assert run_cell(ds, ds, CE, 0.0, 0, 2, (), 4, 3, 1e120) == [{
+        "run_id": "ce-eta0-seed2", "loss": "ce", "q": None, "eta": 0.0, "seed": 2,
+        "epoch": 1, "train_loss": None, "train_acc": None, "test_acc": None,
+    }]
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -235,20 +242,17 @@ def test_run_sweep_order_and_determinism():
     train_ds, test_ds = _blobs()
     spec = _tiny_spec()
     messages = []
-    results = run_sweep(train_ds, test_ds, spec, progress=messages.append)
-    assert len(results) == 2 * 2 * 2
+    runs = run_sweep(train_ds, test_ds, spec, progress=messages.append)
+    assert len(runs) == 2 * 2 * 2
     # eta is the outer loop, then loss, then seed
-    assert [(str(r.loss), r.eta, r.seed) for r in results] == [
+    assert [(run[0]["loss"], run[0]["eta"], run[0]["seed"]) for run in runs] == [
         ("ce", 0.0, 0), ("ce", 0.0, 1), ("fr", 0.0, 0), ("fr", 0.0, 1),
         ("ce", 0.4, 0), ("ce", 0.4, 1), ("fr", 0.4, 0), ("fr", 0.4, 1),
     ]
-    assert all(r.lr == 0.1 for r in results)
-    assert len(messages) == 8
-    again = run_sweep(train_ds, test_ds, spec)
-    for r1, r2 in zip(results, again):
-        assert [(a.epoch, a.train_loss) for a in r1.records] == [
-            (a.epoch, a.train_loss) for a in r2.records
-        ]
+    assert all(run[0]["run_id"] == run[-1]["run_id"] for run in runs)
+    assert [[row["epoch"] for row in run] for run in runs] == [[1, 2, 3]] * 8
+    assert len(messages) == 8 and all(line.endswith(" lr=0.1") for line in messages)
+    assert run_sweep(train_ds, test_ds, spec) == runs
 
 
 def test_run_sweep_missing_lr_entry_fails_before_training(tmp_path):
@@ -323,10 +327,10 @@ def test_lockstep_groups_train_one_loss_with_results_in_cell_order(monkeypatch):
     assert [(r["loss"], r["eta"], r["lr"]) for r in rows] == [
         (loss.kind, eta, lr) for eta in spec.etas for loss in losses for lr in spec.lr_grid]
     groups.clear()
-    results = run_sweep(train_ds, test_ds, spec)
+    runs = run_sweep(train_ds, test_ds, spec)
     assert groups == [[loss] * 10 for loss in losses]
-    assert [(r.loss, r.eta, r.seed) for r in results] == [
-        (loss, eta, seed) for eta in spec.etas for loss in losses for seed in spec.seeds]
+    assert [run[0]["run_id"] for run in runs] == [
+        run_id(loss, eta, seed) for eta in spec.etas for loss in losses for seed in spec.seeds]
 
 
 def test_run_sweep_reports_divergence_after_its_group():
@@ -334,8 +338,8 @@ def test_run_sweep_reports_divergence_after_its_group():
     ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)
     spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2, 3), hidden=(), batch_size=4, lr=1e120)
     messages = []
-    results = run_sweep(ds, ds, spec, progress=messages.append)
-    assert [r.diverged for r in results] == [True, True]
+    runs = run_sweep(ds, ds, spec, progress=messages.append)
+    assert [[(row["epoch"], row["train_loss"]) for row in run] for run in runs] == [[(1, None)]] * 2
     assert messages == [
         "train loss=ce eta=0 seed=2 lr=1e+120",
         "train loss=ce eta=0 seed=3 lr=1e+120",
@@ -443,11 +447,11 @@ def test_pooled_workers_compute_on_one_blas_thread(pools, monkeypatch):
     before = get_threads()
     set_threads(2)
     try:
-        results = run_sweep(train_ds, test_ds, _tiny_spec(losses=(CE, FR, MAE)))
+        runs = run_sweep(train_ds, test_ds, _tiny_spec(losses=(CE, FR, MAE)))
         assert get_threads() == 2
     finally:
         set_threads(before)
-    assert pools == [2] and len(results) == 12
+    assert pools == [2] and len(runs) == 12
 
 
 def test_a_config_over_the_small_product_builds_no_pool(pools):
@@ -457,8 +461,8 @@ def test_a_config_over_the_small_product_builds_no_pool(pools):
     assert experiment._is_small(MlpConfig((2, 13107, 2), CE, 0.1, 10, 1, 0))  # 262140
     assert experiment._is_small(MlpConfig((100, 80, 40, 20, 10), CE, 0.1, 20, 1, 0))  # sweep_b20: 160000
     assert not experiment._is_small(MlpConfig((784, 300, 100, 10), CE, 0.1, 64, 1, 0))  # wide_b64
-    results = run_sweep(train_ds, test_ds, _tiny_spec(hidden=layers[1:2], epochs=1))
-    assert pools == [] and len(results) == 8
+    runs = run_sweep(train_ds, test_ds, _tiny_spec(hidden=layers[1:2], epochs=1))
+    assert pools == [] and len(runs) == 8
 
 
 def test_a_diverging_group_returns_its_training_diverged_across_the_pool(pools, monkeypatch):
@@ -466,11 +470,11 @@ def test_a_diverging_group_returns_its_training_diverged_across_the_pool(pools, 
     ds = LabeledDataset(np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]]), np.array([0, 1, 0, 1]), 2)
     spec = _tiny_spec(losses=(CE, FR), etas=(0.0,), seeds=(2, 3), hidden=(), batch_size=4, lr=1e120)
     pooled, alone = [], []
-    results = run_sweep(ds, ds, spec, progress=pooled.append)
+    runs = run_sweep(ds, ds, spec, progress=pooled.append)
     assert pools == [2]
-    assert [r.diverged for r in results] == [True] * 4
+    assert [run[-1]["train_loss"] for run in runs] == [None] * 4
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
-    assert run_sweep(ds, ds, spec, progress=alone.append) == results
+    assert run_sweep(ds, ds, spec, progress=alone.append) == runs
     assert pooled == alone
     assert pooled[2:4] == [
         "  diverged at epoch 1: train loss=ce eta=0 seed=2 lr=1e+120",
@@ -508,21 +512,17 @@ def test_an_in_process_sweep_trains_small_configs_on_one_blas_thread(monkeypatch
 def test_per_epoch_csv_round_trip_and_bit_identical(tmp_path):
     train_ds, test_ds = _blobs()
     spec = _tiny_spec(losses=(CE,), etas=(0.2,), seeds=(0,))
-    results = run_sweep(train_ds, test_ds, spec)
+    runs = run_sweep(train_ds, test_ds, spec)
     path = tmp_path / "runs.csv"
-    write_per_epoch_csv(path, results)
+    write_per_epoch_csv(path, runs)
     text = path.read_text()
     assert text.splitlines()[0] == PER_EPOCH_COLUMNS
     rows = read_per_epoch_csv(path)
-    assert len(rows) == 3
-    rec = results[0].records[1]
+    assert rows == runs[0]  # repr round-trips exactly
     got = rows[1]
     assert got["run_id"] == run_id(CE, 0.2, 0) == "ce-eta0.2-seed0"
     assert got["loss"] == "ce" and got["q"] is None
     assert got["eta"] == 0.2 and got["seed"] == 0 and got["epoch"] == 2
-    assert got["train_loss"] == rec.train_loss  # repr round-trips exactly
-    assert got["train_acc"] == rec.train_acc
-    assert got["test_acc"] == rec.test_acc
     # a fresh sweep writes the same bytes
     again = run_sweep(train_ds, test_ds, spec)
     path2 = tmp_path / "runs2.csv"
@@ -533,9 +533,9 @@ def test_per_epoch_csv_round_trip_and_bit_identical(tmp_path):
 def test_per_epoch_csv_skipped_test_acc_is_empty(tmp_path):
     train_ds, test_ds = _blobs()
     spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(0,), eval_every_epoch=False)
-    results = run_sweep(train_ds, test_ds, spec)
+    runs = run_sweep(train_ds, test_ds, spec)
     path = tmp_path / "runs.csv"
-    write_per_epoch_csv(path, results)
+    write_per_epoch_csv(path, runs)
     rows = read_per_epoch_csv(path)
     assert rows[0]["test_acc"] is None and rows[1]["test_acc"] is None
     assert rows[2]["test_acc"] is not None
@@ -567,19 +567,21 @@ def test_summarize_from_csv_header_only(tmp_path):
 # ------------------------------------------------------------------ summary
 
 
-def _fake_result(loss, eta, seed, finals, diverged=False):
+def _fake_run(loss, eta, seed, finals, diverged=False):
     records = [TrainRecord(i + 1, 1.0 / (i + 1), 0.5, acc) for i, acc in enumerate(finals)]
-    return RunResult(loss, eta, seed, 0.1, records=records, diverged=diverged)
+    if diverged:
+        return experiment._run_rows(loss, eta, seed, TrainingDiverged("boom", len(records) + 1, records))
+    return experiment._run_rows(loss, eta, seed, records)
 
 
 def test_summarize_statistics_by_hand():
-    results = [
-        _fake_result(CE, 0.2, 0, [0.50, 0.80]),
-        _fake_result(CE, 0.2, 1, [0.90, 0.60]),  # best 0.9 != final 0.6
-        _fake_result(CE, 0.2, 2, [0.10], diverged=True),
-        _fake_result(MAE, 0.2, 0, [0.70, 0.70]),
+    runs = [
+        _fake_run(CE, 0.2, 0, [0.50, 0.80]),
+        _fake_run(CE, 0.2, 1, [0.90, 0.60]),  # best 0.9 != final 0.6
+        _fake_run(CE, 0.2, 2, [0.10], diverged=True),
+        _fake_run(MAE, 0.2, 0, [0.70, 0.70]),
     ]
-    rows = summarize(results)
+    rows = summarize(runs)
     assert [r["loss"] for r in rows] == ["ce", "mae"]
     ce = rows[0]
     npt.assert_allclose(ce["mean_test_acc"], (0.8 + 0.6) / 2, rtol=0, atol=1e-15)
@@ -593,11 +595,11 @@ def test_summarize_statistics_by_hand():
 def test_summary_csv_and_recompute_from_per_epoch(tmp_path):
     train_ds, test_ds = _blobs()
     spec = _tiny_spec()
-    results = run_sweep(train_ds, test_ds, spec)
-    summary = summarize(results)
+    runs = run_sweep(train_ds, test_ds, spec)
+    summary = summarize(runs)
     runs_path = tmp_path / "runs.csv"
     summary_path = tmp_path / "summary.csv"
-    write_per_epoch_csv(runs_path, results)
+    write_per_epoch_csv(runs_path, runs)
     write_summary_csv(summary_path, summary)
     assert summary_path.read_text().splitlines()[0] == SUMMARY_COLUMNS
     recomputed = summarize_from_csv(runs_path)
@@ -611,12 +613,12 @@ def test_summary_csv_and_recompute_from_per_epoch(tmp_path):
 
 
 def test_summarize_from_csv_reads_the_failed_epoch_row(tmp_path):
-    results = [
-        _fake_result(CE, 0.0, 0, [0.5, 0.6, 0.7]),
-        _fake_result(CE, 0.0, 1, [0.5], diverged=True),  # stopped after epoch 1
+    runs = [
+        _fake_run(CE, 0.0, 0, [0.5, 0.6, 0.7]),
+        _fake_run(CE, 0.0, 1, [0.5], diverged=True),  # stopped after epoch 1
     ]
     path = tmp_path / "runs.csv"
-    write_per_epoch_csv(path, results)
+    write_per_epoch_csv(path, runs)
     rows = summarize_from_csv(path)
     assert len(rows) == 1
     assert rows[0]["n_seeds"] == 1 and rows[0]["n_diverged"] == 1
@@ -624,9 +626,9 @@ def test_summarize_from_csv_reads_the_failed_epoch_row(tmp_path):
 
 
 def test_runs_that_all_diverge_after_epoch_one_are_counted_from_the_file(tmp_path):
-    results = [_fake_result(CE, 0.0, seed, [0.5], diverged=True) for seed in (0, 1)]
+    runs = [_fake_run(CE, 0.0, seed, [0.5], diverged=True) for seed in (0, 1)]
     path = tmp_path / "runs.csv"
-    write_per_epoch_csv(path, results)
+    write_per_epoch_csv(path, runs)
     assert [(row["epoch"], row["train_loss"]) for row in read_per_epoch_csv(path)] == [
         (1, 1.0), (2, None), (1, 1.0), (2, None)
     ]
@@ -678,8 +680,8 @@ def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, m
         for loss in spec.losses:
             runs = [run_cell(train_ds, test_ds, loss, eta, eta_index, spec.seeds[0], spec.hidden,
                              spec.batch_size, 2, lr, eval_every_epoch=False) for lr in spec.lr_grid]
-            accs = [r.final_test_acc for r in runs]
-            assert all(isinstance(r.train_acc, float) for run in runs for r in run.records)
+            accs = [run[-1]["test_acc"] for run in runs]
+            assert all(isinstance(row["train_acc"], float) for run in runs for row in run)
             expected += [{"loss": loss.kind, "q": loss.q, "eta": eta, "lr": lr, "final_test_acc": acc,
                           "selected": int(i == int(np.argmax(accs)))}
                          for i, (lr, acc) in enumerate(zip(spec.lr_grid, accs))]
@@ -692,19 +694,24 @@ def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, m
 @pytest.mark.parametrize("eval_every_epoch", [True, False])
 def test_run_sweep_records_train_accuracy_every_epoch(eval_every_epoch):
     train_ds, test_ds = _blobs()
-    for r in run_sweep(train_ds, test_ds, _tiny_spec(eval_every_epoch=eval_every_epoch)):
-        assert [type(rec.train_acc) for rec in r.records] == [float] * 3
+    for run in run_sweep(train_ds, test_ds, _tiny_spec(eval_every_epoch=eval_every_epoch)):
+        assert [type(row["train_acc"]) for row in run] == [float] * 3
 
 
 def test_grid_search_scores_divergence_minus_one():
+    # one step per epoch: at lr 1e120 the first update overflows; at 1e100 the
+    # weights stay finite, and the second epoch's scores overflow
     a = 1e200
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])
     ds = LabeledDataset(feats, np.array([0, 1, 0, 1]), 2)
-    spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2,), hidden=(),
-                      batch_size=4, epochs=2, lr=None, lr_grid=(1e120, 1e-300))
-    rows = grid_search_lr(ds, ds, spec)
-    assert rows[0]["final_test_acc"] == -1.0 and rows[0]["selected"] == 0
-    assert rows[1]["final_test_acc"] >= 0.0 and rows[1]["selected"] == 1
+    for lr, failed_epoch in ((1e120, 1), (1e100, 2)):
+        spec = _tiny_spec(losses=(CE,), etas=(0.0,), seeds=(2,), hidden=(),
+                          batch_size=4, epochs=2, lr=None, lr_grid=(lr, 1e-300))
+        messages = []
+        rows = grid_search_lr(ds, ds, spec, progress=messages.append)
+        assert messages[2] == f"  diverged at epoch {failed_epoch}: grid loss=ce eta=0 seed=2 lr={lr:g}"
+        assert rows[0]["final_test_acc"] == -1.0 and rows[0]["selected"] == 0
+        assert rows[1]["final_test_acc"] >= 0.0 and rows[1]["selected"] == 1
 
 
 def test_make_lr_lookup_paths(tmp_path):
@@ -740,8 +747,8 @@ def test_run_experiment_writes_files_and_reruns_identically(tmp_path):
     spec = _tiny_spec(losses=(CE, qce(0.7)), etas=(0.3,), seeds=(0, 1))
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    results, summary = run_experiment(spec, out_dir=str(out1))
-    assert len(results) == 4 and len(summary) == 2
+    runs, summary = run_experiment(spec, out_dir=str(out1))
+    assert len(runs) == 4 and len(summary) == 2
     run_experiment(spec, out_dir=str(out2))
     assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()

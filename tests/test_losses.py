@@ -188,8 +188,9 @@ def test_h_prime_abs_fr_special_points():
 
 def test_h_prime_abs_clamps_and_rejects_mse():
     npt.assert_allclose(h_prime_abs(CE, 0.0), 1e12, rtol=1e-12)
-    with pytest.raises(ValueError):
-        h_prime_abs(MSE, 0.5)
+    for of_p_y in (h_prime_abs, gradient_weight):
+        with pytest.raises(ValueError, match="mse is not a function of the true-class probability alone"):
+            of_p_y(MSE, 0.5)
 
 
 def test_h_prime_ordering_matches_chain():
