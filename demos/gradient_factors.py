@@ -9,19 +9,37 @@ a shared direction times a scalar that depends on the loss.  The scalar is
 where the noise-robustness story lives: on a badly misclassified sample
 (t near 0 -- exactly where mislabeled points end up) cross-entropy keeps the
 factor pinned at 1, while the Fisher-Rao and Hellinger factors fall to 0.
-Tables first, then an SVG of the factor curves, then the MSE saturation
-corner case that motivates keeping an eye on gradient norms at the vertices.
+Tables first, then FR against the q-CE loss of equal robustness: q* is found
+so that qce(q*)'s loss-sum width, and so its bounds A and B at every eta,
+equal FR's, and FR's factor is the larger on (t_c, 1).  Then an SVG of the
+factor curves, then the MSE saturation corner case that motivates keeping an
+eye on gradient norms at the vertices.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from fisherrao import CE, FR, HELLINGER, MAE, MSE, h_prime_abs, loss_value, qce, score_gradients
+from fisherrao import CE, CLAMP_EPS, FR, HELLINGER, MAE, MSE, h_prime_abs, loss_value, qce, score_gradients
+from fisherrao.losses import gradient_weight, loss_sum_range_width
 from fisherrao.svgplot import line_plot
 
 H_FORM = [MAE, HELLINGER, FR, CE, qce(0.7)]
 OUT = Path(__file__).resolve().parent / "output"
+K = 10
+
+
+def bisect(below, lo, hi):
+    """The float where below(x) turns from True to False on [lo, hi], to the last ulp."""
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
+
+
+def equal_width_q(k):
+    """q* in (0, 1) where qce(q*)'s loss-sum width equals FR's (the width grows with q)."""
+    target = loss_sum_range_width(FR, k)
+    return bisect(lambda q: loss_sum_range_width(qce(q), k) < target, 0.0, 1.0)
 
 
 def table(title, fn):
@@ -52,8 +70,18 @@ def main():
     print("like sqrt(t), mae like t: wrong-looking labels get quiet updates.")
     print()
 
+    # equal robustness: qce(q*) has FR's A and B at every eta, and learns slower above t_c
+    q_star = equal_width_q(K)
+    t_c = bisect(lambda t: gradient_weight(FR, t) < gradient_weight(qce(q_star), t), CLAMP_EPS, 0.5)
+    print(f"K = {K}: qce(q*) with q* = {q_star:.4f} has fr's loss-sum width, so fr's bounds A and B at every eta.")
+    print(f"at equal A and B, fr's factor is the larger on (t_c, 1), t_c = {t_c:.2g}, and the smaller below t_c:")
+    for t in (1e-3, t_c, 0.1, 0.5, 0.9):
+        print(f"  t = {t:<8.2g} fr {float(gradient_weight(FR, t)):.4f}   qce(q*) {float(gradient_weight(qce(q_star), t)):.4f}")
+    print()
+
     ts = np.linspace(1e-4, 1.0, 400)
-    series = [(s.label, list(ts), list(h_prime_abs(s, ts) * ts)) for s in H_FORM]
+    labeled = [(s.label, s) for s in H_FORM] + [(f"qce:q*={q_star:.4f}", qce(q_star))]
+    series = [(label, list(ts), list(h_prime_abs(s, ts) * ts)) for label, s in labeled]
     path = OUT / "gradient_factor_vs_t.svg"
     line_plot(path, series, title="score-gradient factor |h'(t)| t",
               xlabel="true-class probability t", ylabel="factor")

@@ -62,16 +62,15 @@ def _clamp(t):
 
 
 def _fr_h(t, q):
-    return np.arccos(np.clip(np.sqrt(_clamp(t)), -1.0, 1.0)) ** 2
+    return np.arccos(np.sqrt(_clamp(t))) ** 2
 
 
 def _fr_h_prime_abs(t, q):
-    # arccos(sqrt(t)) = arcsin(w) with w = sqrt(1 - t); divide out w
-    # analytically so the t -> 1 limit evaluates to exactly 1/sqrt(t).
+    # |h'(t)| = arcsin(w) / (w sqrt(t)) with w = sqrt(1 - t).  On float64 t in [CLAMP_EPS, 1], w is 0 at t = 1,
+    # the removable singularity with limit 1/sqrt(t), and otherwise at least sqrt(2^-53) = 1.05e-8.
     w = np.sqrt(1.0 - t)
-    w_safe = np.where(w > 1e-8, w, 1.0)
-    ratio = np.where(w > 1e-8, np.arcsin(np.clip(w, -1.0, 1.0)) / w_safe, 1.0 + w * w / 6.0)
-    return ratio / np.sqrt(t)
+    below_one = w > 0.0  # t < 1
+    return np.where(below_one, np.arcsin(w) / np.where(below_one, w, 1.0), 1.0) / np.sqrt(t)
 
 
 def _fr_width(k, q):
@@ -187,9 +186,17 @@ def q_logarithm(x, q: float):
     return np.expm1((1.0 - q) * np.log(x)) / (1.0 - q)
 
 
+def _p_y_kind(spec: LossSpec) -> _Kind:
+    """spec's row of _KIND_TABLE; MSE, which has none, raises ValueError."""
+    if spec.kind == "mse":
+        raise ValueError("mse is not a function of the true-class probability alone")
+    return _KIND_TABLE[spec.kind]
+
+
 def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
     """|h'(t)| t with t clamped to [CLAMP_EPS, 1]: the factor on p - e_y in the score gradient; not for MSE."""
-    return h_prime_abs(spec, t) * _clamp(t)
+    kind, t = _p_y_kind(spec), _clamp(np.asarray(t, dtype=np.float64))
+    return kind.h_prime_abs(t, spec.q) * t
 
 
 def _true_class(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,10 +251,7 @@ def h_prime_abs(spec: LossSpec, t) -> NDArray[np.float64]:
     FR -> arccos(sqrt(t)) / sqrt(t (1 - t)), whose t -> 1 singularity is
     removable with limit 1.  MSE is not a function of p_y alone.
     """
-    if spec.kind == "mse":
-        raise ValueError("mse is not a function of the true-class probability alone")
-    t = _clamp(np.asarray(t, dtype=np.float64))
-    return _KIND_TABLE[spec.kind].h_prime_abs(t, spec.q)
+    return _p_y_kind(spec).h_prime_abs(_clamp(np.asarray(t, dtype=np.float64)), spec.q)
 
 
 def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
@@ -276,7 +280,7 @@ def _score_gradients_into(probs: np.ndarray, at_y: np.ndarray, t: np.ndarray, sp
         probs *= v.sum(axis=-1, keepdims=True)
         np.subtract(v, probs, out=probs)
     else:
-        probs.reshape(-1)[at_y] -= 1.0
+        probs.reshape(-1)[at_y] = t.reshape(-1) - 1.0
         probs *= gradient_weight(spec, t)[..., None]
     return probs
 
@@ -307,5 +311,4 @@ def loss_sum_over_classes(spec: LossSpec, p) -> float:
     """
     p = as_distribution(p)
     k = p.size
-    labels = np.arange(k)
-    return float(loss_values(spec, np.broadcast_to(p, (k, k)), labels).sum())
+    return float(loss_values(spec, np.broadcast_to(p, (k, k)), np.arange(k)).sum())

@@ -44,8 +44,10 @@ def make_rng(seed: int, stream: int) -> np.random.Generator:
 def derive_seed(seed: int, index: int) -> int:
     """Derive a child seed from ``(seed, index)`` via one splitmix64 round.
 
-    Used to give each run of a sweep (e.g. each noise level) its own noise
-    seed that is stable under reordering or subsetting of the sweep.
+    A sweep keys a run's label noise by ``derive_seed(seed, eta_index)``, so
+    reordering its losses or seeds keeps every run's noise, while an eta's
+    noise follows its position in the eta list: reordering the etas, or
+    adding or dropping one ahead of it, gives it other corrupted labels.
     """
     z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -255,6 +255,22 @@ def test_run_sweep_order_and_determinism():
     assert run_sweep(train_ds, test_ds, spec) == runs
 
 
+def test_noise_is_keyed_by_eta_position_not_by_loss_or_seed_order():
+    # a run's noise seed is derive_seed(seed, eta_index): losses and seeds may be reordered without moving
+    # a run's rows, but the order and membership of the eta list key the noise
+    train_ds, test_ds = _blobs()
+
+    def by_run_id(**over):
+        return {run[0]["run_id"]: run for run in run_sweep(train_ds, test_ds, _tiny_spec(**over))}
+
+    runs = by_run_id()
+    assert by_run_id(losses=(FR, CE), seeds=(1, 0)) == runs
+    assert by_run_id(etas=(0.0,)).items() <= runs.items()  # eta 0.0 keeps index 0
+    moved = by_run_id(etas=(0.4,))  # eta 0.4 moves from index 1 to index 0
+    assert all(moved[key] != runs[key] for key in moved)
+    assert (derive_seed(7, 0), derive_seed(7, 1)) == (7191089600892374487, 309689372594955804)
+
+
 def test_run_sweep_missing_lr_entry_fails_before_training(tmp_path):
     # the table covers eta 0.0 only, so the last eta has no rate
     rows = [

@@ -213,6 +213,22 @@ weight_ts = st.one_of(
 )
 
 
+def _reference_fr_h_prime_abs(t):
+    """FR's |h'(t)| as first written: a Taylor branch below w = 1e-8 and clipped arcsin arguments."""
+    w = np.sqrt(1.0 - t)
+    w_safe = np.where(w > 1e-8, w, 1.0)
+    ratio = np.where(w > 1e-8, np.arcsin(np.clip(w, -1.0, 1.0)) / w_safe, 1.0 + w * w / 6.0)
+    return ratio / np.sqrt(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(weight_ts, min_size=1, max_size=40))
+@example([1.0, float("nan")])
+def test_fr_h_prime_abs_matches_its_first_form_bit_for_bit(ts):
+    t = np.array(ts)
+    assert h_prime_abs(FR, t).tobytes() == _reference_fr_h_prime_abs(t).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(weight_ts, min_size=1, max_size=40))
 def test_gradient_weight_ordered_mae_hellinger_fr_ce(ts):
