@@ -19,25 +19,10 @@ whose q = 1/2 case is the Hellinger row 2(sqrt(K) - 1).
 import math
 from dataclasses import dataclass
 
-from .losses import KINDS, LossSpec, fr_sum_bounds, loss_sum_range_width
+from .losses import KINDS, LossSpec, fr_critical_value, fr_sum_bounds, loss_sum_range_width
 from .noise import alpha_to_eta, check_regime
-from .simplex import check_num_classes
 
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
-
-
-def fr_critical_value(num_classes: int, j: int) -> float:
-    """Critical value of the FR loss sum with j coordinates active.
-
-    The stationary points of sum_y L_FR on the simplex place equal mass 1/j
-    on j coordinates and zero elsewhere, giving
-    F = (K - j) pi^2/4 + j arccos(1/sqrt(j))^2.  j = K recovers the lower
-    bound of ``fr_sum_bounds``, j = 1 the upper bound.
-    """
-    check_num_classes(num_classes)
-    if not 1 <= j <= num_classes:
-        raise IndexError(f"j must lie in [1, {num_classes}], got {j}")
-    return (num_classes - j) * math.pi**2 / 4.0 + j * math.acos(1.0 / math.sqrt(j)) ** 2
 
 
 def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:

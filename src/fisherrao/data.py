@@ -295,11 +295,13 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     if not rows:
         raise DataFormatError("no data rows", path=path, line=1)
     feats, labels = zip(*rows)
-    labels_arr = np.array(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise DataFormatError("negative label", path=path, line=int(np.argmin(labels_arr)) + 2)
-    k = num_classes if num_classes is not None else max(int(labels_arr.max()) + 1, 2)
+    feats, labels = np.array(feats, dtype=np.float64), np.array(labels, dtype=np.int64)
+    k = num_classes if num_classes is not None else max(int(labels.max()) + 1, 2)
+    for message, bad in (("negative label", labels < 0), ("features must be finite", ~np.isfinite(feats).all(axis=1)),
+                         (f"labels out of range [0, {k})", labels >= k)):
+        if bad.any():  # the first bad row's line; the header is line 1
+            raise DataFormatError(message, path=path, line=int(np.argmax(bad)) + 2)
     try:
-        return LabeledDataset(np.array(feats, dtype=np.float64), labels_arr, k)
-    except ValueError as exc:
+        return LabeledDataset(feats, labels, k)
+    except ValueError as exc:  # num_classes below 2
         raise DataFormatError(str(exc), path=path, line=1) from None

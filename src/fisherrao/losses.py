@@ -19,15 +19,17 @@ Gradients with respect to scores use t clamped to [CLAMP_EPS, 1] in both the
 derivative factor |h'(t)| and the multiplier t, so the CE gradient stays
 exactly p - e_y and every factor stays finite.
 
-Each p_y kind is one row of ``_KIND_TABLE``: h(t), |h'(t)| and the width of
-the range of sum_y L(p, y) over the simplex, which sets the robustness
-bounds.  MSE is the one kind handled apart.  The loss-layer formulas live in
-the stacked kernel alone (``_true_class``, ``_loss_stat``, ``_losses_from_stat``
-and ``_score_gradients_into``), which takes one LossSpec for the whole stack:
-the training step runs it on the R members of a lockstep group, which all
-train the same loss, and ``score_gradients`` and ``loss_values`` are its
-one-member case.  A sample's loss is a function of one statistic, t or, for
-MSE, ||p||^2 - 2 t, so the step stores one number per sample for its losses.
+Each kind is one row of ``_KIND_TABLE``: h, which turns a sample's loss
+statistic into its loss, |h'(t)| and the width of the range of sum_y L(p, y)
+over the simplex, which sets the robustness bounds.  The statistic is t, or
+||p||^2 - 2 t for MSE, whose row has no |h'(t)|.  The loss-layer formulas live
+in the stacked kernel alone (``_true_class``, ``_loss_stat``,
+``_losses_from_stat`` and ``_score_gradients_into``), which takes one LossSpec
+for the whole stack: the training step's ``_loss_layer`` runs it on the R
+members of a lockstep group, which all train the same loss, and
+``score_gradients`` and ``loss_values`` are its one-member case.  The step
+stores one statistic per sample, from which ``_batch_mean_losses`` takes the
+mean loss of each batch.
 """
 
 import math
@@ -38,10 +40,25 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .simplex import _by_rows, as_distribution, as_scores, check_label_shape, check_labels, check_num_classes, softmax
+from .simplex import (_by_rows, _softmax, as_distribution, as_scores, check_label_shape, check_labels, check_num_classes,
+                      softmax)
 
 # Probabilities are clamped to at least this before logs / negative powers.
 CLAMP_EPS = 1e-12
+
+
+def fr_critical_value(num_classes: int, j: int) -> float:
+    """Critical value of the FR loss sum with j coordinates active.
+
+    The stationary points of sum_y L_FR on the simplex place equal mass 1/j
+    on j coordinates and zero elsewhere, giving
+    F = (K - j) pi^2/4 + j arccos(1/sqrt(j))^2.  j = K gives the lower
+    bound of ``fr_sum_bounds``, j = 1 the upper bound.
+    """
+    check_num_classes(num_classes)
+    if not 1 <= j <= num_classes:
+        raise IndexError(f"j must lie in [1, {num_classes}], got {j}")
+    return (num_classes - j) * math.pi**2 / 4.0 + j * math.acos(1.0 / math.sqrt(j)) ** 2
 
 
 def fr_sum_bounds(num_classes: int) -> tuple[float, float]:
@@ -50,11 +67,7 @@ def fr_sum_bounds(num_classes: int) -> tuple[float, float]:
     Returns (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)); the minimum is attained
     at the uniform distribution, the maximum at the vertices.
     """
-    check_num_classes(num_classes)
-    k = num_classes
-    lower = k * math.acos(1.0 / math.sqrt(k)) ** 2
-    upper = (math.pi**2 / 4.0) * (k - 1)
-    return lower, upper
+    return fr_critical_value(num_classes, num_classes), fr_critical_value(num_classes, 1)
 
 
 def _clamp(t):
@@ -88,12 +101,14 @@ def _qce_width(k, q):
 
 class _Kind(NamedTuple):
     # Every function also takes the q-CE exponent q (None for other kinds).
-    h: Callable  # (t, q) -> loss, t the unclamped true-class probability
-    h_prime_abs: Callable  # (t, q) -> |h'(t)|, t already clamped to [CLAMP_EPS, 1]
+    h: Callable  # (stat, q) -> loss, stat _loss_stat's unclamped statistic
+    h_prime_abs: Callable | None  # (t, q) -> |h'(t)|, t already clamped to [CLAMP_EPS, 1]; None for MSE
     sum_width: Callable  # (K, q) -> S_max - S_min of sum_y L(p, y); None if unbounded
 
 
 _KIND_TABLE = {
+    # MSE's sum K (||p||^2 + 1) - 2 ranges over [K - 1, 2 (K - 1)]
+    "mse": _Kind(lambda stat, q: stat + 1.0, None, lambda k, q: k - 1.0),
     "mae": _Kind(lambda t, q: 1.0 - t, lambda t, q: np.ones_like(t), lambda k, q: 0.0),
     "ce": _Kind(lambda t, q: -np.log(_clamp(t)), lambda t, q: 1.0 / t, lambda k, q: None),
     # q = 0 is MAE exactly: the unclamped 1 - t, as _qce_width gives it MAE's width
@@ -106,7 +121,7 @@ _KIND_TABLE = {
     ),
 }
 
-KINDS = ("mse", *_KIND_TABLE)
+KINDS = tuple(_KIND_TABLE)
 
 
 def _exact_g(x: float) -> str:
@@ -187,10 +202,11 @@ def q_logarithm(x, q: float):
 
 
 def _p_y_kind(spec: LossSpec) -> _Kind:
-    """spec's row of _KIND_TABLE; MSE, which has none, raises ValueError."""
-    if spec.kind == "mse":
-        raise ValueError("mse is not a function of the true-class probability alone")
-    return _KIND_TABLE[spec.kind]
+    """spec's row of _KIND_TABLE; MSE, which has no |h'(t)|, raises ValueError."""
+    kind = _KIND_TABLE[spec.kind]
+    if kind.h_prime_abs is None:
+        raise ValueError(f"{spec.kind} is not a function of the true-class probability alone")
+    return kind
 
 
 def gradient_weight(spec: LossSpec, t) -> NDArray[np.float64]:
@@ -215,8 +231,6 @@ def _loss_stat(spec: LossSpec, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _losses_from_stat(spec: LossSpec, stat: np.ndarray) -> NDArray[np.float64]:
     """Per-sample losses from _loss_stat's statistic."""
-    if spec.kind == "mse":
-        return stat + 1.0
     return _KIND_TABLE[spec.kind].h(stat, spec.q)
 
 
@@ -255,14 +269,8 @@ def h_prime_abs(spec: LossSpec, t) -> NDArray[np.float64]:
 
 
 def loss_sum_range_width(spec: LossSpec, num_classes: int) -> float | None:
-    """S_max - S_min for sum_y L(p, y) over the K-simplex; None means unbounded.
-
-    MSE's sum K (||p||^2 + 1) - 2 ranges over [K - 1, 2 (K - 1)].
-    """
-    k = float(num_classes)
-    if spec.kind == "mse":
-        return k - 1.0
-    return _KIND_TABLE[spec.kind].sum_width(k, spec.q)
+    """S_max - S_min for sum_y L(p, y) over the K-simplex; None means unbounded."""
+    return _KIND_TABLE[spec.kind].sum_width(float(num_classes), spec.q)
 
 
 def _score_gradients_into(probs: np.ndarray, at_y: np.ndarray, t: np.ndarray, spec: LossSpec) -> np.ndarray:
@@ -283,6 +291,31 @@ def _score_gradients_into(probs: np.ndarray, at_y: np.ndarray, t: np.ndarray, sp
         probs.reshape(-1)[at_y] = t.reshape(-1) - 1.0
         probs *= gradient_weight(spec, t)[..., None]
     return probs
+
+
+def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray) -> np.ndarray:
+    """Score gradient of each member's mean batch loss, in place of the stacked scores (R, n, K).
+
+    Per member this is score_gradients(spec, ...) / n, bit for bit, whatever the others' scores hold;
+    stat (R, n) receives each sample's _loss_stat, taken before the gradient overwrites the probabilities.
+    """
+    probs = _softmax(scores, out=scores)
+    at_y, t = _true_class(probs, labels)
+    stat[...] = _loss_stat(spec, probs, t)
+    return np.divide(_score_gradients_into(probs, at_y, t, spec), scores.shape[1], out=probs)
+
+
+def _batch_mean_losses(stat: np.ndarray, spec: LossSpec, batch_size: int) -> np.ndarray:
+    """Mean loss per member (row) and batch (column) from the statistics stored by _loss_layer.
+
+    A batch is batch_size consecutive columns, the last one possibly fewer;
+    each mean is loss_values(...).mean() of that batch, bit for bit.
+    """
+    losses = _losses_from_stat(spec, stat)
+    r, n = stat.shape
+    full = n - n % batch_size
+    means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
+    return np.concatenate([means, losses[:, full:].mean(axis=1, keepdims=True)], axis=1) if full < n else means
 
 
 def score_gradients(spec: LossSpec, probs, labels) -> NDArray[np.float64]:

@@ -16,9 +16,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import LabeledDataset
-from .losses import LossSpec, _loss_stat, _losses_from_stat, _score_gradients_into, _true_class, loss_values
+from .losses import LossSpec, _batch_mean_losses, _loss_layer, loss_values
 from .rng import STREAM_INIT, STREAM_SHUFFLE, check_seed, make_rng
-from .simplex import _softmax, check_label_shape, check_labels, check_num_classes, softmax
+from .simplex import check_label_shape, check_labels, check_num_classes, softmax
 
 
 @dataclass(frozen=True)
@@ -136,31 +136,6 @@ def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
             delta = delta @ np.swapaxes(model.weights[layer], -1, -2)
             delta *= acts[layer] > 0.0  # max(z, 0) > 0 exactly where z > 0: the ReLU mask
         yield layer, gw, gb
-
-
-def _loss_layer(scores: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray) -> np.ndarray:
-    """Score gradient of each member's mean batch loss, in place of the stacked scores (R, n, K).
-
-    Per member this is score_gradients(spec, ...) / n, bit for bit, whatever the others' scores hold;
-    stat (R, n) receives each sample's _loss_stat, taken before the gradient overwrites the probabilities.
-    """
-    probs = _softmax(scores, out=scores)
-    at_y, t = _true_class(probs, labels)
-    stat[...] = _loss_stat(spec, probs, t)
-    return np.divide(_score_gradients_into(probs, at_y, t, spec), scores.shape[1], out=probs)
-
-
-def _batch_mean_losses(stat: np.ndarray, spec: LossSpec, batch_size: int) -> np.ndarray:
-    """Mean loss per member (row) and batch (column) from the statistics stored by _loss_layer.
-
-    A batch is batch_size consecutive columns, the last one possibly fewer;
-    each mean is loss_values(...).mean() of that batch, bit for bit.
-    """
-    losses = _losses_from_stat(spec, stat)
-    r, n = stat.shape
-    full = n - n % batch_size
-    means = losses[:, :full].reshape(r, -1, batch_size).mean(axis=2)
-    return np.concatenate([means, losses[:, full:].mean(axis=1, keepdims=True)], axis=1) if full < n else means
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fisherrao.bounds import (
     alpha_sweep,
@@ -14,7 +16,7 @@ from fisherrao.bounds import (
     fr_sum_bounds,
 )
 from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, qce
-from fisherrao.noise import NoiseSpec, eta_to_alpha
+from fisherrao.noise import NoiseSpec, alpha_to_eta, check_regime, eta_to_alpha
 
 FINITE_KINDS = [MSE, qce(0.3), qce(0.7), FR, HELLINGER]
 
@@ -32,6 +34,13 @@ def test_fr_sum_bounds_ordering_sweep():
     for k in list(range(2, 200)) + [1000, 5000, 10_000]:
         lower, upper = fr_sum_bounds(k)
         assert lower < upper
+
+
+def test_fr_sum_bounds_match_their_closed_forms_bit_for_bit():
+    # the critical values at j = K and j = 1 against (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)) written out
+    for k in range(2, 10**6 + 1):
+        lower, upper = fr_sum_bounds(k)
+        assert lower == k * math.acos(1.0 / math.sqrt(k)) ** 2 and upper == (math.pi**2 / 4.0) * (k - 1), k
 
 
 def test_fr_critical_values():
@@ -201,3 +210,26 @@ def test_class_count_sweep_rows():
     assert a[10_000] < a[100] < a[4]  # decreasing beyond the small-K peak
     with pytest.raises(ValueError):
         class_count_sweep([FR], 1.0, [10])
+
+
+def _ulps_apart(a: float, b: float) -> int:
+    """Distance in representable float64 steps between two nonnegative floats."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**4), st.floats(0.0, 1.0, exclude_max=True))
+@example(3, 0.9999999999999999)  # alpha_to_eta rounds down to the edge here
+@example(10**4, 0.9999999999999999)
+def test_eta_near_the_regime_edge(k, alpha):
+    eta = alpha_to_eta(alpha, k)
+    check_regime(k, eta)
+    back = eta_to_alpha(eta, k)
+    assert back <= 1.0 and _ulps_apart(back, alpha) <= 2
+    edge = float(np.nextafter((k - 1) / k, 0.0))  # the largest eta of the regime
+    check_regime(k, edge)
+    assert eta_to_alpha(edge, k) <= 1.0
+    for spec in (MSE, MAE, FR, HELLINGER, qce(0.7)):
+        a, b = bound_A(spec, k, edge), bound_B(spec, k, edge)
+        assert math.isfinite(a) and a >= 0.0 and b <= 0.0, spec
+    assert (bound_A(CE, k, edge), bound_B(CE, k, edge)) == (math.inf, -math.inf)

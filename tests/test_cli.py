@@ -7,9 +7,11 @@ import pytest
 from fisherrao import cli
 from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
-from fisherrao.experiment import read_lr_table, read_per_epoch_csv, summarize_from_csv, write_summary_csv
+from fisherrao.experiment import (load_datasets, parse_config, read_lr_table, read_per_epoch_csv, summarize_from_csv,
+                                  write_summary_csv)
 from fisherrao.losses import FR
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance
+from test_data import _write_idx_images, _write_idx_labels
 
 
 def _read_rows(path):
@@ -245,6 +247,34 @@ def test_train_where_every_run_diverges_in_epoch_one_leaves_a_row_per_run(tmp_pa
     assert (tmp_path / "again.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
 
+def test_train_svg_where_every_run_diverges_in_epoch_one_draws_legend_only_plots(tmp_path):
+    cfg = _write_config(tmp_path / "exp.cfg", etas="0.0", lr="1e300")
+    out = tmp_path / "runs"
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(out), "--svg"]) == 4
+    assert [path.name for path in out.glob("*.svg")] == ["accuracy_eta0.svg"]
+    svg = ET.parse(out / "accuracy_eta0.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert svg.findall(f"{ns}polyline") == []
+    assert [text.text for text in svg.findall(f"{ns}text")][-2:] == ["ce", "fr"]  # the legend, one entry per loss
+
+
+def test_train_on_mnist_idx_files_keeps_train_limit_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    files = {}
+    for split, n in (("train", 30), ("test", 10)):
+        files[f"{split}_images"], files[f"{split}_labels"] = tmp_path / f"{split}-images", tmp_path / f"{split}-labels"
+        _write_idx_images(files[f"{split}_images"], rng.integers(0, 256, (n, 4, 4)).tolist())
+        _write_idx_labels(files[f"{split}_labels"], [i % 10 for i in range(n)])
+    cfg = _write_config(tmp_path / "exp.cfg", dataset="mnist", train_limit="20", **files)
+    train_ds, test_ds = load_datasets(parse_config(cfg))
+    assert (len(train_ds), len(test_ds), train_ds.num_features, train_ds.num_classes) == (20, 10, 16, 10)
+    out = tmp_path / "runs"
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    run_ids = {row["run_id"] for row in read_per_epoch_csv(out / "runs.csv")}
+    assert run_ids == {f"{loss}-eta{eta}-seed{seed}" for loss in ("ce", "fr") for eta in ("0", "0.4")
+                       for seed in (0, 1)}
+
+
 def test_train_missing_config_is_data_error(tmp_path):
     assert cli.run(["train", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -286,6 +316,17 @@ def test_dataset_csv_that_is_not_ascii_is_data_error(tmp_path, capsys, command):
         assert f"error: {path}: line {line}: not ascii text: byte 0xc3" in capsys.readouterr().err
         path.write_bytes(original)
     assert not (tmp_path / "out").exists()
+
+
+def test_dataset_csv_with_a_non_finite_feature_is_data_error_naming_its_line(tmp_path, capsys):
+    ds = LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), np.array([0, 1, 0]), 2)
+    for name in ("train.csv", "test.csv"):
+        save_csv(ds, tmp_path / name)
+    path = tmp_path / "train.csv"
+    path.write_bytes(path.read_bytes().replace(b"1.0,0.0,1", b"0.1,nan,1"))  # line 3
+    cfg = _write_config(tmp_path / "exp.cfg", dataset="csv", train_csv=str(path), test_csv=str(tmp_path / "test.csv"))
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: line 3: features must be finite\n"
 
 
 # ------------------------------------------------------------------ grid-lr

@@ -343,3 +343,16 @@ def test_csv_malformed_row_reports_line(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_csv(path)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text, num_classes, message, line", [
+    ("0.0,1.0,0\n0.1,nan,1\n0.2,inf,1\n", None, "features must be finite", 3),
+    ("0.0,1.0,0\n0.1,0.2,1\n0.3,0.4,1\n0.5,0.6,5\n1.0,1.0,7\n", 2, "labels out of range [0, 2)", 5),
+    ("0.0,1.0,0\n0.1,0.2,-1\n0.3,0.4,-2\n", None, "negative label", 3),
+])
+def test_csv_bad_row_reports_its_own_line(tmp_path, text, num_classes, message, line):
+    path = tmp_path / "rows.csv"
+    path.write_text("f0,f1,label\n" + text)
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path, num_classes)
+    assert exc.value.line == line and str(exc.value) == f"{path}: line {line}: {message}"

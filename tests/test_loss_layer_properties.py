@@ -1,10 +1,10 @@
-"""Property-based checks of the lockstep loss layer (``mlp._loss_layer``).
+"""Property-based checks of the lockstep loss layer (``losses._loss_layer``).
 
 The stacked layer shares one softmax, one gather of t = p_y and one p - e_y
 among all members, which train one loss, and stores one loss statistic per
 sample (t, or ||p||^2 - 2 t for MSE).  Each member's score gradient must
 still be its ``score_gradients(...) / n``, and each mean loss that
-``mlp._batch_mean_losses`` builds from the statistics, per batch of a drawn
+``losses._batch_mean_losses`` builds from the statistics, per batch of a drawn
 size (the last one possibly partial), the ``loss_values(...).mean()`` of that
 batch, bit for bit, whatever the other members hold.
 """
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, loss_values, qce, score_gradients
-from fisherrao.mlp import _batch_mean_losses, _loss_layer
+from fisherrao.losses import (
+    CE, FR, HELLINGER, MAE, MSE, _batch_mean_losses, _loss_layer, loss_values, qce, score_gradients,
+)
 from fisherrao.simplex import softmax
 
 # Scores of +-700 drive t to 1 and below CLAMP_EPS (exp(-1400) is 0).

@@ -10,6 +10,7 @@ from fisherrao.losses import (
     CLAMP_EPS,
     FR,
     HELLINGER,
+    KINDS,
     MAE,
     MSE,
     LossSpec,
@@ -34,6 +35,7 @@ ALL_KINDS = [MSE, MAE, CE, qce(0.7), FR, HELLINGER]
 # ---------------------------------------------------------------- LossSpec
 
 def test_spec_parse_and_label():
+    assert KINDS == ("mse", "mae", "ce", "qce", "fr", "hellinger")
     assert LossSpec.parse("fr") == FR
     assert LossSpec.parse(" CE ") == CE
     assert LossSpec.parse("qce:0.7") == qce(0.7)
