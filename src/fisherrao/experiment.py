@@ -67,7 +67,7 @@ class ExperimentSpec:
     # csv source
     train_csv: str | None = None
     test_csv: str | None = None
-    # applies to mnist/csv: keep only the first train_limit training samples
+    # every source: keep only the first train_limit training samples
     train_limit: int | None = None
 
     def __post_init__(self):
@@ -106,12 +106,16 @@ def _value_parser(tp):
 
 _PARSERS = {f.name: _value_parser(f.type) for f in fields(ExperimentSpec)}
 _REQUIRED = {f.name for f in fields(ExperimentSpec) if f.default is MISSING and f.default_factory is MISSING}
+_SOURCE_OF = {key: source for source, keys in (("synthetic", "n_train n_test features classes class_sep data_seed"),
+              ("mnist", "train_images train_labels test_images test_labels"), ("csv", "train_csv test_csv"))
+              for key in keys.split()}
 
 
 def parse_config(path) -> ExperimentSpec:
     """Parse a flat 'key = value' config file ('#' starts a comment).
 
     Each ExperimentSpec field is a key, given at most once, parsed by its type; 'hidden = none' is ().
+    A key that only another dataset source reads is an error.
     """
     values, key_lines = {}, {}
     try:
@@ -140,7 +144,11 @@ def parse_config(path) -> ExperimentSpec:
     missing = sorted(_REQUIRED - values.keys())
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    return ExperimentSpec(**values)
+    spec = ExperimentSpec(**values)
+    for key, lineno in key_lines.items():
+        if _SOURCE_OF.get(key, spec.dataset) != spec.dataset:
+            raise ValueError(f"{path}: line {lineno}: {key!r} is for dataset = {_SOURCE_OF[key]}, not {spec.dataset}")
+    return spec
 
 
 def load_datasets(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -170,7 +178,7 @@ def load_datasets(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset]
 
 # Upper bound on the stacked parameters of one lockstep group: 21 members of
 # the 100-80-40-20-10 net (98 800 B each).  A 784-300-100-10 member, 2 132 880 B,
-# is over it alone, and trains in a group of its own through _group_sizes' max(1, ...).
+# is over it alone, and trains in a group of its own through _plan_groups' max(1, ...).
 GROUP_PARAM_BYTES = 2 * 1024 * 1024
 
 # OpenBLAS computes a product with batch * fan_in * fan_out at most this size on
@@ -217,26 +225,19 @@ def _run_rows(loss: LossSpec, eta: float, seed: int, outcome) -> list[dict]:
             for rec in records]
 
 
-def _group_sizes(n_cells: int, layer_sizes: tuple[int, ...]) -> list[int]:
-    """Near-equal group sizes whose stacked parameters fit in GROUP_PARAM_BYTES."""
-    member_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    n_groups = -(-n_cells // max(1, GROUP_PARAM_BYTES // member_bytes))
-    base, extra = divmod(n_cells, n_groups)
-    return [base + 1] * extra + [base] * (n_groups - extra)
-
-
 def _plan_groups(configs) -> list[list[int]]:
     """The lockstep groups of a sweep's configs, as positions, in training order.
 
     A group trains one loss; losses come in first-seen order, each loss's configs
-    in sweep order, cut into the near-equal sizes of _group_sizes.
+    in sweep order, cut into near-equal groups (the first ones one larger) that fit in GROUP_PARAM_BYTES.
     """
+    sizes = configs[0].layer_sizes
+    member_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    per_group = max(1, GROUP_PARAM_BYTES // member_bytes)
     groups = []
     for loss in dict.fromkeys(config.loss for config in configs):
         positions = [pos for pos, config in enumerate(configs) if config.loss == loss]
-        for size in _group_sizes(len(positions), configs[0].layer_sizes):
-            groups.append(positions[:size])
-            positions = positions[size:]
+        groups += [part.tolist() for part in np.array_split(positions, -(-len(positions) // per_group))]
     return groups
 
 
@@ -248,24 +249,19 @@ def _is_small(config: MlpConfig) -> bool:
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, through ctypes; None without them."""
+    """(get, set) of the thread count of the OpenBLAS numpy calls, through ctypes; None without them.
+
+    A symbol lookup on numpy's extension module also searches the libraries it links."""
     import ctypes
 
     try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line})
-    except OSError:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _usable_cpus() -> int:

@@ -15,11 +15,9 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 46
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Tick positions at a 1/2/5 x 10^k step, inside [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return []
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo else 1.0)
     raw = (hi - lo) / max(target, 1)
+    if not 0.0 < raw < math.inf:  # no span, a limit that is not finite, or a span past the float maximum
+        return []
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -27,8 +25,24 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step finer than the floats at t: one tick, not an endless loop
+            break
         t += step
     return ticks
+
+
+def _axis(lo: float, hi: float, pad: float, origin: float, length: float):
+    """The ticks and the value -> pixel map of an axis over [lo, hi], widened by pad of its span at each end."""
+    for unit in (1.0, 0.25):  # in quarters of the values where the span overflows, so pixels stay finite
+        a, b = lo * unit, hi * unit
+        if b == a:
+            b = max(a + 1.0, math.nextafter(a, math.inf))  # the next float up where a + 1.0 == a
+        margin = pad * (b - a)
+        a, b = a - margin, b + margin
+        if math.isfinite(b - a):
+            break
+    ticks = [t / unit for t in _nice_ticks(a, b) if math.isfinite(t / unit)]
+    return ticks, lambda v: origin + (v * unit - a) / (b - a) * length
 
 
 def _tick_label(v: float) -> str:
@@ -57,21 +71,10 @@ def line_plot(
         y_lo, y_hi = min(p[1] for p in all_pts), max(p[1] for p in all_pts)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad_y = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
-
-    def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y: float) -> float:
-        return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+    x_ticks, sx = _axis(x_lo, x_hi, 0.0, _MARGIN_L, plot_w)
+    y_ticks, sy = _axis(y_lo, y_hi, 0.05, _MARGIN_T + plot_h, -plot_h)
 
     svg = ET.Element(
         "svg",
@@ -84,13 +87,13 @@ def line_plot(
     font = {"font-family": "sans-serif", "font-size": "12"}
 
     # grid + ticks
-    for t in _nice_ticks(x_lo, x_hi):
+    for t in x_ticks:
         px = sx(t)
         ET.SubElement(svg, "line", x1=f"{px:.2f}", y1=str(_MARGIN_T), x2=f"{px:.2f}",
                       y2=str(_MARGIN_T + plot_h), stroke="#dddddd")
         ET.SubElement(svg, "text", x=f"{px:.2f}", y=str(_MARGIN_T + plot_h + 16),
                       **{"text-anchor": "middle", **font}).text = _tick_label(t)
-    for t in _nice_ticks(y_lo, y_hi):
+    for t in y_ticks:
         py = sy(t)
         ET.SubElement(svg, "line", x1=str(_MARGIN_L), y1=f"{py:.2f}",
                       x2=str(_MARGIN_L + plot_w), y2=f"{py:.2f}", stroke="#dddddd")

@@ -155,7 +155,11 @@ def test_losses_table_rejects_mse(tmp_path):
 # -------------------------------------------------------------------- train
 
 
+_SYNTHETIC_KEYS = ("n_train", "n_test", "features", "classes", "class_sep", "data_seed")
+
+
 def _write_config(path, **over):
+    """A small synthetic sweep's config with the given keys changed; another dataset keeps only given synthetic keys."""
     base = {
         "dataset": "synthetic",
         "losses": "ce,fr",
@@ -173,6 +177,8 @@ def _write_config(path, **over):
         "data_seed": "11",
     }
     base.update(over)
+    if base["dataset"] != "synthetic":
+        base = {k: v for k, v in base.items() if k not in _SYNTHETIC_KEYS or k in over}
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
     return path
 
@@ -193,6 +199,16 @@ def test_train_end_to_end_with_svg(tmp_path, capsys):
         svg = out / f"accuracy_eta{eta}.svg"
         assert svg.exists()
         ET.parse(svg)
+
+
+def test_train_svg_of_one_epoch_draws_each_curve_as_one_point_at_the_left_edge(tmp_path):
+    cfg = _write_config(tmp_path / "exp.cfg", epochs="1")
+    out = tmp_path / "runs"
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(out), "--svg"]) == 0
+    for eta in ("0", "0.4"):
+        lines = ET.parse(out / f"accuracy_eta{eta}.svg").getroot().findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(lines) == 2  # ce and fr
+        assert all(line.get("points").startswith("62.00,") and " " not in line.get("points") for line in lines)
 
 
 def test_cells_that_run_id_tells_apart_print_apart(tmp_path, capsys):
@@ -290,6 +306,26 @@ def test_config_with_a_repeated_key_is_usage_error_naming_both_lines(tmp_path, c
     cfg.write_text(cfg.read_text() + "epochs = 5\n", encoding="utf-8")  # line 15; the first is line 7
     assert cli.run(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 15: key 'epochs' repeats line 7; give each key once\n"
+
+
+@pytest.mark.parametrize("over, line, message", [
+    ({"dataset": "mnist", "classes": "2", "train_images": "a", "train_labels": "b", "test_images": "c",
+      "test_labels": "d"}, 9, "'classes' is for dataset = synthetic, not mnist"),
+    ({"dataset": "csv", "n_train": "20", "train_csv": "a.csv", "test_csv": "b.csv"}, 9,
+     "'n_train' is for dataset = synthetic, not csv"),
+    ({"train_csv": "a.csv"}, 15, "'train_csv' is for dataset = csv, not synthetic"),
+], ids=["mnist", "csv", "synthetic"])
+def test_config_key_of_another_dataset_is_usage_error_naming_its_line(tmp_path, capsys, over, line, message):
+    cfg = _write_config(tmp_path / "exp.cfg", **over)
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line {line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_config_without_features_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", features="0")
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: num_features must be >= 1, got 0\n"
 
 
 def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_dataset_validation_and_immutability():
             LabeledDataset(feats, np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 1)
+    with pytest.raises(ValueError, match=r"labels shape \(3,\) does not match 2 samples"):
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 1, 0]), 2)
 
 
 def test_dataset_leaves_callers_arrays_writeable():
@@ -308,6 +310,10 @@ def test_csv_num_classes_override(tmp_path):
     save_csv(ds, path)
     assert load_csv(path).num_classes == 2  # inferred from labels
     assert load_csv(path, num_classes=5).num_classes == 5
+    save_csv(LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), 2), path)
+    with pytest.raises(DataFormatError, match="line 1: num_classes must be >= 2") as exc:
+        load_csv(path, num_classes=1)  # every label fits, but one class is too few
+    assert exc.value.line == 1
 
 
 def test_csv_empty_file(tmp_path):

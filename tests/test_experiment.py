@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import multiprocessing
 import os
 import re
@@ -33,7 +34,6 @@ from fisherrao.experiment import (
     write_lr_table_csv,
     write_per_epoch_csv,
     write_summary_csv,
-    _group_sizes,
 )
 from fisherrao.losses import CE, FR, MAE, LossSpec, qce
 from fisherrao.mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
@@ -309,10 +309,16 @@ def test_feature_mismatch_fails_before_training(search):
 
 
 def test_group_sizes_fit_the_parameter_budget():
-    assert _group_sizes(40, (100, 80, 40, 20, 10)) == [20, 20]  # at most 21 of this net per group
-    assert _group_sizes(24, (100, 80, 40, 20, 10)) == [12, 12]
-    assert _group_sizes(4, (784, 300, 100, 10)) == [1, 1, 1, 1]  # over budget alone: one per group
-    assert _group_sizes(5, (2, 4, 2)) == [5]
+    def sizes(n_cells, layer_sizes):
+        groups = experiment._plan_groups([MlpConfig(layer_sizes, CE, 0.1, 20, 1, seed) for seed in range(n_cells)])
+        assert [pos for group in groups for pos in group] == list(range(n_cells))
+        return [len(group) for group in groups]
+
+    assert sizes(40, (100, 80, 40, 20, 10)) == [20, 20]  # at most 21 of this net per group
+    assert sizes(24, (100, 80, 40, 20, 10)) == [12, 12]
+    assert sizes(43, (100, 80, 40, 20, 10)) == [15, 14, 14]  # near-equal, the first 43 % 3 one larger
+    assert sizes(4, (784, 300, 100, 10)) == [1, 1, 1, 1]  # over budget alone: one per group
+    assert sizes(5, (2, 4, 2)) == [5]
 
 
 def test_run_sweep_results_do_not_depend_on_grouping(monkeypatch):
@@ -496,6 +502,28 @@ def test_a_diverging_group_returns_its_training_diverged_across_the_pool(pools, 
         "  diverged at epoch 1: train loss=ce eta=0 seed=2 lr=1e+120",
         "  diverged at epoch 1: train loss=ce eta=0 seed=3 lr=1e+120",
     ]
+
+
+def test_without_openblas_a_sweep_trains_in_process_to_the_same_rows(monkeypatch):
+    train_ds, test_ds = _blobs()
+    spec = _tiny_spec(losses=(CE, FR, MAE))  # three groups
+    expected = run_sweep(train_ds, test_ds, spec)
+    built = []
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    experiment._openblas_threads.cache_clear()
+    try:
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert experiment._openblas_threads() is None
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        assert run_sweep(train_ds, test_ds, spec) == expected
+        assert built == []
+    finally:
+        monkeypatch.undo()
+        experiment._openblas_threads.cache_clear()
 
 
 def test_an_in_process_sweep_trains_small_configs_on_one_blas_thread(monkeypatch):

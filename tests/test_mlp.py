@@ -360,6 +360,10 @@ def test_train_dimension_checks():
     cfg = MlpConfig((3, 4, 2), CE, 0.1, 5, 1, seed=0)
     with pytest.raises(ValueError):
         train(init_model(cfg), train_ds, test_ds, cfg)
+    cfg = MlpConfig((2, 4, 2), CE, 0.1, 5, 1, seed=0)
+    wider = LabeledDataset(np.hstack([test_ds.features, test_ds.features]), test_ds.labels, 2)
+    with pytest.raises(ValueError, match="train and test feature dimensions differ"):
+        train(init_model(cfg), train_ds, wider, cfg)
 
 
 def test_test_eval_can_be_disabled():
@@ -429,6 +433,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.layer_sizes == model.layer_sizes
     for a, b in zip(model.weights + model.biases, back.weights + back.biases):
         npt.assert_array_equal(a, b)
+
+
+def test_checkpoint_whose_arrays_disagree_with_its_layer_sizes_is_rejected(tmp_path):
+    model = init_model(_config(layers=(5, 4, 3)))
+    path = tmp_path / "model.npz"
+    np.savez(path, layer_sizes=np.array([5, 6, 3]), w0=model.weights[0], b0=model.biases[0], w1=model.weights[1],
+             b1=model.biases[1])
+    with pytest.raises(ValueError, match=r"checkpoint arrays inconsistent with layer_sizes \(5, 6, 3\)"):
+        load_model(path)
 
 
 # ---------------------------------------------- softmax-shift invariance
@@ -624,6 +637,9 @@ def test_lockstep_rejects_members_that_cannot_share_a_step():
     train_ds, test_ds = _blobs(40)
     cfg = MlpConfig((2, 4, 2), CE, 0.1, 10, 2, seed=0)
     record = _recorder(test_ds, 2, True)
+    for models, train_sets, configs in (([], [], []), ([init_model(cfg)], [train_ds, train_ds], [cfg, cfg])):
+        with pytest.raises(ValueError, match="one train set and one config per model"):
+            train_lockstep(models, train_sets, configs, record)
     other = LabeledDataset(train_ds.features.copy(), train_ds.labels, 2)
     with pytest.raises(ValueError, match="feature matrix"):
         train_lockstep([init_model(cfg), init_model(cfg)], [train_ds, other], [cfg, cfg], record)

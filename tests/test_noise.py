@@ -19,6 +19,12 @@ def test_spec_validation():
         NoiseSpec(0.1, -1, 2)
 
 
+def test_rng_stream_must_fit_in_64_bits():
+    for stream in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"stream must be in \[0, 2\*\*64\)"):
+            make_rng(0, stream)
+
+
 def test_eta_zero_is_identity():
     labels = make_rng(30, 99).integers(0, 5, size=1000)
     out = corrupt_labels(labels, NoiseSpec(0.0, 7, 5))
@@ -40,6 +46,8 @@ def test_deterministic_and_pure():
 def test_labels_out_of_range_rejected():
     with pytest.raises(ValueError):
         corrupt_labels(np.array([0, 4]), NoiseSpec(0.1, 1, 4))
+    with pytest.raises(ValueError, match=r"labels must be 1-D, got shape \(1, 2\)"):
+        corrupt_labels(np.array([[0, 1]]), NoiseSpec(0.1, 1, 4))
     with pytest.raises(ValueError):
         corrupt_labels(np.array([-1, 0]), NoiseSpec(0.1, 1, 4))
 

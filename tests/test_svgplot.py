@@ -1,6 +1,8 @@
 import math
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fisherrao.svgplot import _nice_ticks, line_plot
 
 
@@ -34,3 +36,47 @@ def test_line_plot_drops_nonfinite_points(tmp_path):
     path = tmp_path / "plot.svg"
     line_plot(path, [("ce", [1, 2, 3, 4], [0.1, float("inf"), float("nan"), 0.4])])
     ET.parse(path)  # still valid with the bad points dropped
+
+
+def _coordinates(path) -> list[float]:
+    """Every number in a coordinate attribute of the SVG: polyline points, line ends and text anchors."""
+    values = []
+    for element in ET.parse(path).getroot().iter():
+        for name in ("x", "y", "x1", "y1", "x2", "y2"):
+            if name in element.attrib:
+                values.append(float(element.get(name)))
+        for pair in element.get("points", "").split():
+            values.extend(map(float, pair.split(",")))
+    return values
+
+
+def _points(path) -> list[str]:
+    return [line.get("points") for line in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0], [-1e308, 1e308]),  # the y span overflows
+    ([-1.7976931348623157e308, 1.7976931348623157e308], [0.0, 1.0]),  # the x span overflows
+    ([0.0, 1.0], [1.7976931348623157e308] * 2),  # one y value at the float maximum
+    ([1e20], [0.5]),  # one x value where x + 1.0 == x
+    ([0.0, 1.0], [1e20, 1e20 + 16384.0]),  # a tick step finer than the floats there
+    ([0.0, 1.0], [0.0, 5e-324]),  # a span a fifth of which rounds to zero
+])
+def test_line_plot_draws_finite_coordinates_for_finite_values(tmp_path, xs, ys):
+    path = tmp_path / "plot.svg"
+    line_plot(path, [("a", xs, ys)])
+    coordinates = _coordinates(path)
+    assert len(_points(path)) == 1 and coordinates and all(map(math.isfinite, coordinates))
+
+
+def test_line_plot_places_points_of_an_overflowing_span_as_the_scaled_down_plot_does(tmp_path):
+    line_plot(tmp_path / "huge.svg", [("a", [-1e308, 0.0, 1e308], [-1e308, 5e307, 1e308])])
+    line_plot(tmp_path / "unit.svg", [("a", [-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0])])
+    assert _points(tmp_path / "huge.svg") == _points(tmp_path / "unit.svg")
+    assert _points(tmp_path / "unit.svg") == ["62.00,377.64 343.00,132.18 624.00,50.36"]
+
+
+def test_line_plot_of_a_constant_series_draws_it_near_the_foot_of_a_unit_range(tmp_path):
+    path = tmp_path / "plot.svg"
+    line_plot(path, [("a", [1.0, 2.0], [3.0, 3.0])])
+    assert _points(path) == ["62.00,377.64 624.00,377.64"]  # y in [3, 4] padded by 5%: 3 sits 1/22 up
