@@ -25,26 +25,27 @@ from .noise import alpha_to_eta, check_regime
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
 
 
-def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
-    """Upper bound A(K, eta) on the noisy-risk gap; +inf for CE-like losses."""
+def _A_and_B(spec: LossSpec, num_classes: int, eta: float) -> tuple[float, float]:
+    """(A, B) at (K, eta): checks the regime and reads the loss-sum range once for both."""
     check_regime(num_classes, eta)
     width = loss_sum_range_width(spec, num_classes)
     if width is None:
-        return math.inf
-    # group the K-only factor so the MSE row comes out as exactly eta
-    return eta * (width / (num_classes - 1))
+        return math.inf, -math.inf
+    a = eta * (width / (num_classes - 1))  # the K-only factor grouped, so MSE's A is exactly eta
+    denominator = num_classes - 1 - eta * num_classes
+    if denominator <= 0.0:  # the largest eta below (K-1)/K can round it to 0; B's limit there
+        return a, -math.inf if width else -0.0
+    return a, -eta * width / denominator
+
+
+def bound_A(spec: LossSpec, num_classes: int, eta: float) -> float:
+    """Upper bound A(K, eta) on the noisy-risk gap; +inf for CE-like losses."""
+    return _A_and_B(spec, num_classes, eta)[0]
 
 
 def bound_B(spec: LossSpec, num_classes: int, eta: float) -> float:
     """Lower bound B(K, eta) on the clean-risk gap; -inf for CE-like losses."""
-    check_regime(num_classes, eta)
-    width = loss_sum_range_width(spec, num_classes)
-    if width is None:
-        return -math.inf
-    denominator = num_classes - 1 - eta * num_classes
-    if denominator <= 0.0:  # the largest eta below (K-1)/K can round it to 0; B's limit there
-        return -math.inf if width else -0.0
-    return -eta * width / denominator
+    return _A_and_B(spec, num_classes, eta)[1]
 
 
 @dataclass(frozen=True)
@@ -57,32 +58,22 @@ class BoundResult:
 
 
 def bounds(spec: LossSpec, num_classes: int, eta: float) -> BoundResult:
-    return BoundResult(
-        spec=spec,
-        num_classes=num_classes,
-        eta=eta,
-        A=bound_A(spec, num_classes, eta),
-        B=bound_B(spec, num_classes, eta),
-    )
+    return BoundResult(spec, num_classes, eta, *_A_and_B(spec, num_classes, eta))
 
 
 def _sweep_rows(specs: list[LossSpec], points) -> list[dict]:
-    """One row per (alpha, K) point and spec, keyed by SWEEP_COLUMNS."""
+    """One row per (alpha, K) point and spec, keyed by SWEEP_COLUMNS; A and B are +/-inf for CE-like losses."""
     rows = []
     for alpha, k in points:
         eta = alpha_to_eta(alpha, k)
         for spec in specs:
-            values = (spec.kind, spec.q, k, alpha, eta, bound_A(spec, k, eta), bound_B(spec, k, eta))
+            values = (spec.kind, spec.q, k, alpha, eta, *_A_and_B(spec, k, eta))
             rows.append(dict(zip(SWEEP_COLUMNS, values)))
     return rows
 
 
 def alpha_sweep(specs: list[LossSpec], num_classes: int, alphas) -> list[dict]:
-    """Bound curves at fixed K over a grid of alpha = eta K/(K-1) in [0, 1).
-
-    Returns one row per (alpha, spec): dict with keys
-    loss, q, K, alpha, eta, A, B (A/B are +/-inf for CE).
-    """
+    """Bound curves at fixed K over a grid of alpha = eta K/(K-1) in [0, 1), one row per (alpha, spec)."""
     return _sweep_rows(specs, ((float(alpha), num_classes) for alpha in alphas))
 
 

@@ -200,7 +200,7 @@ def _class_vertices(spec: SyntheticSpec) -> NDArray[np.float64]:
     return spec.class_sep * (2.0 * bits - 1.0)
 
 
-def _sample_cluster(vertices: NDArray[np.float64], n: int, rng: np.random.Generator, num_classes: int) -> LabeledDataset:
+def _sample_cluster(vertices: NDArray[np.float64], n: int, rng: "np.random.Generator", num_classes: int) -> LabeledDataset:
     labels = rng.integers(0, num_classes, size=n, dtype=np.int64)
     feats = rng.standard_normal((n, vertices.shape[1]))
     for start in range(0, n, 256):  # centers added in row blocks, so the set holds one (n, m) array, not two

@@ -27,7 +27,7 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def make_rng(seed: int, stream: int) -> np.random.Generator:
+def make_rng(seed: int, stream: int) -> "np.random.Generator":
     """Return a Philox generator keyed by ``(seed, stream)``.
 
     Args:

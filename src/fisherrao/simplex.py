@@ -171,7 +171,7 @@ def fisher_rao_from_hellinger(d_h):
     return 4.0 * np.arcsin(np.clip(np.asarray(d_h, dtype=np.float64) / 2.0, -1.0, 1.0))
 
 
-def sample_simplex(rng: np.random.Generator, num_classes: int, n: int | None = None) -> NDArray[np.float64]:
+def sample_simplex(rng: "np.random.Generator", num_classes: int, n: int | None = None) -> NDArray[np.float64]:
     """Draw uniform (flat-Dirichlet) points on Delta^{num_classes-1}.
 
     Returns shape (num_classes,) when n is None, else (n, num_classes).

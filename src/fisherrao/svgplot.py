@@ -10,12 +10,14 @@ import xml.etree.ElementTree as ET
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 46
+_TICK_TARGET = 5  # about this many ticks per axis
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Tick positions at a 1/2/5 x 10^k step, inside [lo, hi]."""
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / _TICK_TARGET
     if not 0.0 < raw < math.inf:  # no span, a limit that is not finite, or a span past the float maximum
         return []
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -57,8 +59,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 440,
 ) -> None:
     """Write an SVG line plot; ``series`` is a list of (label, xs, ys)."""
     cleaned = []
@@ -71,19 +71,19 @@ def line_plot(
         y_lo, y_hi = min(p[1] for p in all_pts), max(p[1] for p in all_pts)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     x_ticks, sx = _axis(x_lo, x_hi, 0.0, _MARGIN_L, plot_w)
     y_ticks, sy = _axis(y_lo, y_hi, 0.05, _MARGIN_T + plot_h, -plot_h)
 
     svg = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=str(width),
-        height=str(height),
-        viewBox=f"0 0 {width} {height}",
+        width=str(_WIDTH),
+        height=str(_HEIGHT),
+        viewBox=f"0 0 {_WIDTH} {_HEIGHT}",
     )
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height), fill="white")
+    ET.SubElement(svg, "rect", x="0", y="0", width=str(_WIDTH), height=str(_HEIGHT), fill="white")
     font = {"font-family": "sans-serif", "font-size": "12"}
 
     # grid + ticks
@@ -114,10 +114,10 @@ def line_plot(
 
     # labels
     if title:
-        ET.SubElement(svg, "text", x=str(width // 2), y="20",
+        ET.SubElement(svg, "text", x=str(_WIDTH // 2), y="20",
                       **{"text-anchor": "middle", "font-size": "14", "font-family": "sans-serif"}).text = title
     if xlabel:
-        ET.SubElement(svg, "text", x=str(_MARGIN_L + plot_w // 2), y=str(height - 10),
+        ET.SubElement(svg, "text", x=str(_MARGIN_L + plot_w // 2), y=str(_HEIGHT - 10),
                       **{"text-anchor": "middle", **font}).text = xlabel
     if ylabel:
         ET.SubElement(svg, "text", x="16", y=str(_MARGIN_T + plot_h // 2),

@@ -1,4 +1,6 @@
+import importlib
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +17,7 @@ from fisherrao.bounds import (
     fr_critical_value,
     fr_sum_bounds,
 )
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, qce
+from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_sum_range_width, qce
 from fisherrao.noise import NoiseSpec, alpha_to_eta, check_regime, eta_to_alpha
 
 FINITE_KINDS = [MSE, qce(0.3), qce(0.7), FR, HELLINGER]
@@ -233,3 +235,67 @@ def test_eta_near_the_regime_edge(k, alpha):
         a, b = bound_A(spec, k, edge), bound_B(spec, k, edge)
         assert math.isfinite(a) and a >= 0.0 and b <= 0.0, spec
     assert (bound_A(CE, k, edge), bound_B(CE, k, edge)) == (math.inf, -math.inf)
+
+
+def _reference_A(spec, k, eta):
+    """A(K, eta) written out on its own, each bound re-checking the regime and re-reading the range."""
+    check_regime(k, eta)
+    width = loss_sum_range_width(spec, k)
+    if width is None:
+        return math.inf
+    return eta * (width / (k - 1))
+
+
+def _reference_B(spec, k, eta):
+    check_regime(k, eta)
+    width = loss_sum_range_width(spec, k)
+    if width is None:
+        return -math.inf
+    denominator = k - 1 - eta * k
+    if denominator <= 0.0:
+        return -math.inf if width else -0.0
+    return -eta * width / denominator
+
+
+_SPECS = st.one_of(
+    st.sampled_from([MSE, MAE, CE, FR, HELLINGER]),
+    st.floats(0.0, 1.0).map(qce),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 10**4), st.floats(0.0, 1.0, exclude_max=True), _SPECS)
+@example(10, 0.9999999999999999, FR)  # eta at the regime edge, where K - 1 - eta K rounds to 0
+@example(10, 0.9999999999999999, MAE)  # a zero width there: B is -0.0
+def test_bounds_equal_the_written_out_formulas_bit_for_bit(k, alpha, spec):
+    eta = alpha_to_eta(alpha, k)
+    expected = struct.pack("<dd", _reference_A(spec, k, eta), _reference_B(spec, k, eta))
+    result = bounds(spec, k, eta)
+    assert struct.pack("<dd", bound_A(spec, k, eta), bound_B(spec, k, eta)) == expected
+    assert struct.pack("<dd", result.A, result.B) == expected
+    row = alpha_sweep([spec], k, [alpha])[0]
+    assert struct.pack("<dd", row["A"], row["B"]) == expected
+
+
+def test_regime_check_and_range_read_once_per_bound_and_row(monkeypatch):
+    module = importlib.import_module("fisherrao.bounds")  # the package's bounds attribute is the function
+    calls = {"check_regime": 0, "loss_sum_range_width": 0}
+
+    def counted(name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("check_regime")
+    counted("loss_sum_range_width")
+    specs = [LossSpec.parse(text) for text in ("mse", "mae", "ce", "qce:0.7", "fr", "hellinger")]
+    assert len(alpha_sweep(specs, 10, np.linspace(0.0, 0.99, 100))) == 600
+    assert calls == {"check_regime": 600, "loss_sum_range_width": 600}
+    for bound in (bound_A, bound_B, bounds):
+        calls.update(check_regime=0, loss_sum_range_width=0)
+        bound(FR, 10, 0.5)
+        assert calls == {"check_regime": 1, "loss_sum_range_width": 1}, bound

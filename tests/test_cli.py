@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -495,3 +498,15 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["train"])
     assert exc.value.code == 2
+
+
+def test_importing_the_package_and_cli_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random on first use; only make_rng's first call needs it, not bounds or distance."""
+    script = ("import sys, fisherrao, fisherrao.cli\n"
+              "assert 'numpy.random' not in sys.modules, 'import fisherrao loaded numpy.random'\n"
+              "from fisherrao.rng import make_rng\n"
+              "print(make_rng(0, 1).random())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert 0.0 <= float(result.stdout) < 1.0
