@@ -92,6 +92,12 @@ class ExperimentSpec:
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL:
+        raise ValueError(f"expected true/1/yes or false/0/no, got {text!r}")
+    return _BOOL[text.lower()]
+
+
 def _value_parser(tp):
     """Text -> value for a field annotation: scalars, 'X | None', 'tuple[X, ...]'."""
     args = [a for a in get_args(tp) if a is not type(None)]
@@ -99,9 +105,7 @@ def _value_parser(tp):
         item = _value_parser(args[0])
         return lambda text: tuple(item(tok) for tok in text.split(","))
     tp = args[0] if args else tp
-    if tp is bool:
-        return lambda text: _BOOL[text.lower()]
-    return LossSpec.parse if tp is LossSpec else tp
+    return _parse_bool if tp is bool else LossSpec.parse if tp is LossSpec else tp
 
 
 _PARSERS = {f.name: _value_parser(f.type) for f in fields(ExperimentSpec)}
@@ -120,7 +124,7 @@ def parse_config(path) -> ExperimentSpec:
     values, key_lines = {}, {}
     try:
         with open(path, "rb") as f:
-            text = _decoded(f.read(), path, "utf-8")
+            text = _decoded(f.read(), path, "utf-8").removeprefix("\ufeff")  # a BOM goes as in "utf-8-sig"
     except DataFormatError as exc:
         raise ValueError(str(exc)) from None  # a bad config is a usage error, even a byte that is not utf-8
     with io.StringIO(text, newline=None) as f:  # universal newlines, as open() reads a text file
@@ -139,7 +143,7 @@ def parse_config(path) -> ExperimentSpec:
                     raise ValueError(f"key {key!r} repeats line {key_lines[key]}; give each key once")
                 key_lines[key] = lineno
                 values[key] = () if key == "hidden" and val.lower() == "none" else _PARSERS[key](val)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     missing = sorted(_REQUIRED - values.keys())
     if missing:

@@ -22,9 +22,10 @@ from numpy.typing import NDArray
 # kernel's temporaries stay in the core's L2 cache instead of streaming whole
 # arrays through memory (ROADMAP, "Measured and rejected").
 ROW_BLOCK = 4096
-# Up to this many classes, _softmax_rows takes the row max one column at a
-# time, which beats numpy's reduction over short rows; past about 50 it loses.
+# _softmax takes the row max one column at a time, which beats numpy's reduction
+# over short rows, on blocks of <= COLUMN_MAX_K classes and >= COLUMN_MIN_ROWS rows.
 COLUMN_MAX_K = 32
+COLUMN_MIN_ROWS = 512
 
 # Tolerance on sum(p) == 1 for validated distributions; entries more negative
 # than -NEG_EPS are rejected, anything in [-NEG_EPS, 0) is treated as 0.
@@ -99,31 +100,25 @@ def softmax(scores) -> NDArray[np.float64]:
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax requires finite scores")
     with np.errstate(over="ignore"):  # a score range past the float maximum shifts to -inf, and exp(-inf) is 0
-        return _by_rows(_softmax_rows, np.empty(s.shape), s)
+        return _by_rows(_softmax, np.empty(s.shape), s)
 
 
-def _softmax(s: np.ndarray, out: np.ndarray | None = None, row_max: np.ndarray | None = None) -> np.ndarray:
+def _softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """softmax of float64 scores already known to be finite, into out (which may be s).
 
-    row_max, if given, is s.max(axis=-1, keepdims=True) computed by the caller.
+    The row max is s.max, or a column-at-a-time max on a block of <= COLUMN_MAX_K classes and >= COLUMN_MIN_ROWS
+    rows, with the same bits: max is exact, and a max of either zero sign gives the same e = s - max and exp(e).
     """
-    e = np.subtract(s, s.max(axis=-1, keepdims=True) if row_max is None else row_max, out=out)
+    k = s.shape[-1]
+    if k > COLUMN_MAX_K or s.size < COLUMN_MIN_ROWS * k:
+        row_max = s.max(axis=-1, keepdims=True)
+    else:
+        row_max = s[..., :1].copy()
+        for j in range(1, k):
+            np.maximum(row_max, s[..., j : j + 1], out=row_max)
+    e = np.subtract(s, row_max, out=out)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
-
-
-def _softmax_rows(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_softmax for a block of a bulk call, with the row max taken a column at a time up to COLUMN_MAX_K classes.
-
-    The values are those of s.max: max is exact, and a row whose max is a zero
-    of either sign gives the same e = s - max and exp(e).
-    """
-    if s.shape[-1] > COLUMN_MAX_K:
-        return _softmax(s, out=out)
-    row_max = s[..., :1].copy()
-    for j in range(1, s.shape[-1]):
-        np.maximum(row_max, s[..., j : j + 1], out=row_max)
-    return _softmax(s, out=out, row_max=row_max)
 
 
 def sphere_embed(p) -> NDArray[np.float64]:

@@ -338,6 +338,22 @@ def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys
     assert f"error: {cfg}: line 2: not utf-8 text: byte 0xe9" in capsys.readouterr().err
 
 
+def test_config_that_starts_with_a_utf8_byte_order_mark_parses(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg")
+    plain = parse_config(cfg)
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert parse_config(cfg) == plain
+    cfg.write_bytes(cfg.read_bytes().replace(b"losses = ce,fr", b"losses = ce,fr # \xe9"))
+    assert cli.run(["train", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: line 2: not utf-8 text: byte 0xe9" in capsys.readouterr().err
+
+
+def test_config_with_a_bad_boolean_names_the_accepted_spellings(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", eval_every_epoch="maybe")  # line 15
+    assert cli.run(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 15: expected true/1/yes or false/0/no, got 'maybe'\n"
+
+
 @pytest.mark.parametrize("command", ["train", "grid-lr"])
 def test_dataset_csv_that_is_not_ascii_is_data_error(tmp_path, capsys, command):
     ds = LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), np.array([0, 1, 0]), 2)

@@ -292,29 +292,48 @@ def test_blocked_bulk_calls_match_the_single_call_bit_for_bit(block, blocks, del
         assert isinstance(serial["softmax" if bad == "score" else "loss_values"], tuple)
 
 
+# 1-4 rows of 1 to COLUMN_MAX_K + 8 finite scores, with the float extremes, zeros of both signs and ties
+_EDGE_ROWS = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, simplex.COLUMN_MAX_K + 8)),
+                    elements=st.one_of(st.sampled_from((1.7e308, -1.7e308, 1.0, 0.0, -0.0)),
+                                       st.floats(-1.7e308, 1.7e308)))
+
+
+def _tiled(rows: np.ndarray) -> np.ndarray:
+    """rows repeated past COLUMN_MIN_ROWS: _softmax takes such a block's row max a column at a time (K <= 32)."""
+    return np.tile(rows, (simplex.COLUMN_MIN_ROWS // len(rows) + 1, 1))
+
+
 @pytest.mark.parametrize("k", [2, 10, simplex.COLUMN_MAX_K, simplex.COLUMN_MAX_K + 1])
 def test_bulk_softmax_matches_the_training_kernel_bit_for_bit(k):
-    # the bulk call takes the row max a column at a time; the training step's _softmax reduces each row
-    scores = make_rng(5, k).normal(0.0, 8.0, (40, k))
+    # a bulk block of COLUMN_MIN_ROWS rows takes the row max a column at a time; a training step's few rows reduce
+    scores = make_rng(5, k).normal(0.0, 8.0, (simplex.COLUMN_MIN_ROWS, k))
     scores[0] = 0.0
     scores[1] = -np.abs(scores[1])
     scores[1, k // 2] = -0.0  # the max is -0.0, with 0.0 nowhere in the row
     scores[2] = -np.abs(scores[2])
     scores[2, 0], scores[2, -1] = -0.0, 0.0  # a max of either sign of zero
     scores[3, :] = scores[3, 0]  # a row of ties
-    for s in (scores, scores[7]):
-        assert softmax(s).tobytes() == simplex._softmax(s.copy()).tobytes()
-
+    steps = [simplex._softmax(step.copy()) for step in scores.reshape(-1, 8, k)]
+    assert softmax(scores).tobytes() == np.concatenate(steps).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, simplex.COLUMN_MAX_K + 8)),
-              elements=st.one_of(st.sampled_from((1.7e308, -1.7e308, -0.0)), st.floats(-1.7e308, 1.7e308))))
+@given(_EDGE_ROWS)
 def test_softmax_of_finite_scores_past_the_float_range_is_exact_and_silent(scores):
     # s - max(s) overflows to -inf once a row spans more than the float maximum; exp(-inf) = 0 is exact
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probs = softmax(scores)
+        probs = softmax(_tiled(scores))
     npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     with np.errstate(over="ignore"):  # as in the training step, which runs the kernel under np.errstate
-        assert probs.tobytes() == simplex._softmax(scores.copy()).tobytes()
+        assert probs.tobytes() == _tiled(simplex._softmax(scores.copy())).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDGE_ROWS)
+def test_softmax_of_a_column_form_block_matches_each_rows_own_call_bit_for_bit(rows):
+    # a single row is a block of one row, so its own call reduces
+    with np.errstate(over="ignore"):
+        block = simplex._softmax(_tiled(rows))
+        own = [simplex._softmax(row.copy()) for row in rows]
+    assert block.tobytes() == _tiled(np.array(own)).tobytes()
