@@ -60,6 +60,8 @@ def write_rows(path, columns, rows) -> None:
                 cells = [row[c] for c in columns] if isinstance(row, dict) else row
                 f.write(",".join(map(_cell, cells)) + "\n")
         os.replace(tmp, path)
+    except OSError as exc:  # named by the path asked for, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -118,7 +120,7 @@ class LabeledDataset:
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels)
-        if feats.ndim != 2 or feats.shape[0] == 0:
+        if feats.ndim != 2 or 0 in feats.shape:
             raise ValueError(f"features must be a nonempty (N, m) matrix, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} samples")

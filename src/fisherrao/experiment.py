@@ -75,6 +75,9 @@ class ExperimentSpec:
             raise ValueError(f"dataset must be synthetic, mnist, or csv, got {self.dataset!r}")
         if not self.losses or not self.etas or not self.seeds:
             raise ValueError("losses, etas, and seeds must all be nonempty")
+        for key in ("grid_epochs", "train_limit"):
+            if (value := getattr(self, key)) is not None and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         object.__setattr__(self, "etas", tuple(eta + 0.0 for eta in self.etas))  # -0.0 is the cell of eta 0
         cells = [run_id(loss, eta, seed) for loss in self.losses for eta in self.etas for seed in self.seeds]
         for what, values in (("run_id", cells), ("lr_grid entry", self.lr_grid)):

@@ -53,85 +53,64 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def line_plot(
-    path,
-    series: list[tuple[str, list[float], list[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-) -> None:
-    """Write an SVG line plot; ``series`` is a list of (label, xs, ys)."""
-    cleaned = []
-    for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-        cleaned.append((label, pts))
-    all_pts = [p for _, pts in cleaned for p in pts]
-    if all_pts:
-        x_lo, x_hi = min(p[0] for p in all_pts), max(p[0] for p in all_pts)
-        y_lo, y_hi = min(p[1] for p in all_pts), max(p[1] for p in all_pts)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-    x_ticks, sx = _axis(x_lo, x_hi, 0.0, _MARGIN_L, plot_w)
-    y_ticks, sy = _axis(y_lo, y_hi, 0.05, _MARGIN_T + plot_h, -plot_h)
+def _element(parent, tag, text=None, **attrs):
+    """A child element of parent with attrs in the order given, _ in a name spelled -.  A float value is
+    written to 2 decimals and any other with str, so a number meant otherwise (stroke-width 1.6) is given as text."""
+    element = ET.SubElement(parent, tag, {name.replace("_", "-"): f"{v:.2f}" if isinstance(v, float) else str(v)
+                                          for name, v in attrs.items()})
+    element.text = text
 
-    svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(_WIDTH),
-        height=str(_HEIGHT),
-        viewBox=f"0 0 {_WIDTH} {_HEIGHT}",
-    )
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(_WIDTH), height=str(_HEIGHT), fill="white")
-    font = {"font-family": "sans-serif", "font-size": "12"}
+
+def line_plot(path, series: list[tuple[str, list[float], list[float]]], title: str = "", xlabel: str = "",
+              ylabel: str = "") -> None:
+    """Write an SVG line plot; ``series`` is a list of (label, xs, ys)."""
+    cleaned = [(label, [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)])
+               for label, xs, ys in series]
+    xs, ys = zip(*([p for _, pts in cleaned for p in pts] or [(0.0, 0.0), (1.0, 1.0)]))  # a unit square when empty
+    plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _HEIGHT - _MARGIN_T - _MARGIN_B
+    x_ticks, sx = _axis(min(xs), max(xs), 0.0, _MARGIN_L, plot_w)
+    y_ticks, sy = _axis(min(ys), max(ys), 0.05, _MARGIN_T + plot_h, -plot_h)
+
+    svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg", width=str(_WIDTH), height=str(_HEIGHT),
+                     viewBox=f"0 0 {_WIDTH} {_HEIGHT}")
+    _element(svg, "rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="white")
+    font = {"font_family": "sans-serif", "font_size": 12}
 
     # grid + ticks
     for t in x_ticks:
         px = sx(t)
-        ET.SubElement(svg, "line", x1=f"{px:.2f}", y1=str(_MARGIN_T), x2=f"{px:.2f}",
-                      y2=str(_MARGIN_T + plot_h), stroke="#dddddd")
-        ET.SubElement(svg, "text", x=f"{px:.2f}", y=str(_MARGIN_T + plot_h + 16),
-                      **{"text-anchor": "middle", **font}).text = _tick_label(t)
+        _element(svg, "line", x1=px, y1=_MARGIN_T, x2=px, y2=_MARGIN_T + plot_h, stroke="#dddddd")
+        _element(svg, "text", _tick_label(t), x=px, y=_MARGIN_T + plot_h + 16, text_anchor="middle", **font)
     for t in y_ticks:
         py = sy(t)
-        ET.SubElement(svg, "line", x1=str(_MARGIN_L), y1=f"{py:.2f}",
-                      x2=str(_MARGIN_L + plot_w), y2=f"{py:.2f}", stroke="#dddddd")
-        ET.SubElement(svg, "text", x=str(_MARGIN_L - 6), y=f"{py + 4:.2f}",
-                      **{"text-anchor": "end", **font}).text = _tick_label(t)
+        _element(svg, "line", x1=_MARGIN_L, y1=py, x2=_MARGIN_L + plot_w, y2=py, stroke="#dddddd")
+        _element(svg, "text", _tick_label(t), x=_MARGIN_L - 6, y=py + 4, text_anchor="end", **font)
 
     # axes
-    ET.SubElement(svg, "rect", x=str(_MARGIN_L), y=str(_MARGIN_T), width=str(plot_w),
-                  height=str(plot_h), fill="none", stroke="black")
+    _element(svg, "rect", x=_MARGIN_L, y=_MARGIN_T, width=plot_w, height=plot_h, fill="none", stroke="black")
 
     # series
-    for i, (label, pts) in enumerate(cleaned):
-        color = PALETTE[i % len(PALETTE)]
+    for i, (_, pts) in enumerate(cleaned):
         if pts:
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-            ET.SubElement(svg, "polyline", points=coords, fill="none", stroke=color,
-                          **{"stroke-width": "1.6"})
+            _element(svg, "polyline", points=" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts), fill="none",
+                     stroke=PALETTE[i % len(PALETTE)], stroke_width="1.6")
 
     # labels
     if title:
-        ET.SubElement(svg, "text", x=str(_WIDTH // 2), y="20",
-                      **{"text-anchor": "middle", "font-size": "14", "font-family": "sans-serif"}).text = title
+        _element(svg, "text", title, x=_WIDTH // 2, y=20, text_anchor="middle", font_size=14, font_family="sans-serif")
     if xlabel:
-        ET.SubElement(svg, "text", x=str(_MARGIN_L + plot_w // 2), y=str(_HEIGHT - 10),
-                      **{"text-anchor": "middle", **font}).text = xlabel
+        _element(svg, "text", xlabel, x=_MARGIN_L + plot_w // 2, y=_HEIGHT - 10, text_anchor="middle", **font)
     if ylabel:
-        ET.SubElement(svg, "text", x="16", y=str(_MARGIN_T + plot_h // 2),
-                      transform=f"rotate(-90 16 {_MARGIN_T + plot_h // 2})",
-                      **{"text-anchor": "middle", **font}).text = ylabel
+        mid = _MARGIN_T + plot_h // 2
+        _element(svg, "text", ylabel, x=16, y=mid, transform=f"rotate(-90 16 {mid})", text_anchor="middle", **font)
 
     # legend
     lx, ly = _MARGIN_L + plot_w - 150, _MARGIN_T + 8
-    ET.SubElement(svg, "rect", x=str(lx - 6), y=str(ly - 6), width="150",
-                  height=str(16 * len(cleaned) + 8), fill="white", stroke="#999999")
+    _element(svg, "rect", x=lx - 6, y=ly - 6, width=150, height=16 * len(cleaned) + 8, fill="white", stroke="#999999")
     for i, (label, _) in enumerate(cleaned):
-        color = PALETTE[i % len(PALETTE)]
-        ET.SubElement(svg, "line", x1=str(lx), y1=str(ly + 16 * i + 5), x2=str(lx + 18),
-                      y2=str(ly + 16 * i + 5), stroke=color, **{"stroke-width": "1.6"})
-        ET.SubElement(svg, "text", x=str(lx + 24), y=str(ly + 16 * i + 9), **font).text = label
+        row = ly + 16 * i
+        _element(svg, "line", x1=lx, y1=row + 5, x2=lx + 18, y2=row + 5, stroke=PALETTE[i % len(PALETTE)],
+                 stroke_width="1.6")
+        _element(svg, "text", label, x=lx + 24, y=row + 9, **font)
 
     ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)

@@ -90,9 +90,12 @@ def test_bounds_alpha_near_one_stays_below_the_limit(tmp_path):
     assert float(_read_rows(out)[-1]["eta"]) == 0.6666666666666665
 
 
-def test_bounds_unwritable_out_is_data_error(tmp_path):
+def test_bounds_unwritable_out_is_data_error(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.csv"
-    assert cli.run(["bounds", "--sweep", "alpha", "--out", str(out)]) == 3
+    for command in (["bounds", "--sweep", "alpha"], ["losses-table"]):
+        assert cli.run([*command, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"  # not x.csv.tmp
+        assert not out.parent.exists()
 
 
 # ----------------------------------------------------------------- distance
@@ -329,6 +332,17 @@ def test_synthetic_config_without_features_is_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.cfg", features="0")
     assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: num_features must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command, out, key", [
+    ("grid-lr", "--out", "grid_epochs"),
+    ("train", "--out-dir", "train_limit"),
+], ids=["grid_epochs", "train_limit"])
+def test_config_count_below_one_is_usage_error_naming_its_key(tmp_path, capsys, command, out, key):
+    cfg = _write_config(tmp_path / "exp.cfg", lr_grid="0.1", **{key: "0"})
+    assert cli.run([command, "--config", str(cfg), out, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):

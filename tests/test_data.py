@@ -28,6 +28,8 @@ def test_dataset_validation_and_immutability():
         ds.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((0, 2)), np.array([], dtype=np.int64), 2)
+    with pytest.raises(ValueError, match=r"nonempty \(N, m\) matrix, got shape \(3, 0\)"):
+        LabeledDataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2)  # save_csv would write a file load_csv rejects
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), 2)
     for bad in (np.nan, np.inf, -np.inf):
