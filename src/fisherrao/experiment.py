@@ -84,12 +84,9 @@ class ExperimentSpec:
             repeated = [value for value, count in Counter(values).items() if count > 1]
             if repeated:
                 raise ValueError(f"duplicate {what} {repeated[0]!r}; losses, etas, seeds and lr_grid must not repeat")
-        if self.dataset == "mnist" and None in (
-            self.train_images, self.train_labels, self.test_images, self.test_labels
-        ):
-            raise ValueError("mnist dataset needs train_images/train_labels/test_images/test_labels")
-        if self.dataset == "csv" and None in (self.train_csv, self.test_csv):
-            raise ValueError("csv dataset needs train_csv and test_csv")
+        needed = [key for key, source in _SOURCE_OF.items() if source == self.dataset]
+        if any(getattr(self, key) is None for key in needed):
+            raise ValueError(f"{self.dataset} dataset needs {'/'.join(needed)}")
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -198,27 +195,16 @@ def _noisy_train_set(train_ds: LabeledDataset, eta: float, eta_index: int, seed:
     return train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
 
 
-def run_cell(
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    loss: LossSpec,
-    eta: float,
-    eta_index: int,
-    seed: int,
-    hidden: tuple[int, ...],
-    batch_size: int,
-    epochs: int,
-    lr: float,
-    eval_every_epoch: bool = True,
-) -> list[dict]:
-    """Corrupt a fresh copy of the training labels, train one model; its runs.csv rows."""
-    noisy_ds = _noisy_train_set(train_ds, eta, eta_index, seed)
-    config = MlpConfig((train_ds.num_features, *hidden, train_ds.num_classes), loss, lr, batch_size, epochs, seed)
+def run_cell(train_ds: LabeledDataset, test_ds: LabeledDataset, eta: float, eta_index: int, config: MlpConfig,
+             eval_every_epoch: bool = True) -> list[dict]:
+    """Corrupt a fresh copy of the training labels and train one model under config through train; its runs.csv
+    rows.  The single-model reference for a sweep cell (eta_index, config), which trains through train_lockstep."""
+    noisy_ds = _noisy_train_set(train_ds, eta, eta_index, config.seed)
     try:
         outcome = train(init_model(config), noisy_ds, test_ds, config, eval_test_every_epoch=eval_every_epoch)
     except TrainingDiverged as exc:
         outcome = exc
-    return _run_rows(loss, eta, seed, outcome)
+    return _run_rows(config.loss, eta, config.seed, outcome)
 
 
 def _run_rows(loss: LossSpec, eta: float, seed: int, outcome) -> list[dict]:
@@ -275,19 +261,13 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _train_group(positions, configs, train_sets, record) -> list:
-    group_configs = [configs[pos] for pos in positions]
-    return train_lockstep([init_model(c) for c in group_configs], [train_sets[pos] for pos in positions],
-                          group_configs, record)
+_worker_train = None  # a pool worker's group trainer, inherited through fork
 
 
-_worker_train = None  # a pool worker's _train_group with its inputs bound, inherited through fork
-
-
-def _start_worker(train, parent: int) -> None:
+def _start_worker(train_group, parent: int) -> None:
     """Pool worker set-up: keep the group trainer, and die with the parent (on Linux)."""
     global _worker_train
-    _worker_train = train
+    _worker_train = train_group
     import ctypes
     import signal
 
@@ -317,7 +297,10 @@ def _group_outcomes(groups, configs, train_sets, record):
     only the outcomes come back, and no worker outlives the context.
     Otherwise each group trains here when its outcomes are read.
     """
-    train = functools.partial(_train_group, configs=configs, train_sets=train_sets, record=record)
+    def train_group(positions) -> list:
+        return train_lockstep([init_model(configs[pos]) for pos in positions], [train_sets[pos] for pos in positions],
+                              [configs[pos] for pos in positions], record)
+
     threads = _openblas_threads() if all(map(_is_small, configs)) else None
     workers = min(_usable_cpus(), len(groups)) if threads is not None else 1
     get_threads, set_threads = threads or (lambda: None, lambda count: None)  # no setter: left as it is
@@ -330,13 +313,13 @@ def _group_outcomes(groups, configs, train_sets, record):
 
             if "fork" in multiprocessing.get_all_start_methods():
                 pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                           initializer=_start_worker, initargs=(train, os.getpid()))
+                                           initializer=_start_worker, initargs=(train_group, os.getpid()))
                 try:
                     yield pool.map(_train_in_worker, groups)
                 finally:
                     pool.shutdown(cancel_futures=True)
                 return
-        yield map(train, groups)
+        yield map(train_group, groups)
     finally:
         set_threads(restore)
 
@@ -447,8 +430,9 @@ def grid_search_lr(
             for run in _train_cells(train_ds, spec.etas, cells, final_test_acc, "grid", progress)]
     rows = [{"loss": config.loss.kind, "q": config.loss.q, "eta": spec.etas[eta_index], "lr": config.learning_rate,
              "final_test_acc": acc, "selected": 0} for (eta_index, config), acc in zip(cells, accs)]
-    for start in range(0, len(rows), len(spec.lr_grid)):  # the first max of each (loss, eta): the smallest lr on ties
-        rows[start + int(np.argmax(accs[start : start + len(spec.lr_grid)]))]["selected"] = 1
+    for start in range(0, len(rows), len(spec.lr_grid)):  # the best of each (loss, eta): the smallest lr on ties
+        best = max(rows[start : start + len(spec.lr_grid)], key=lambda row: (row["final_test_acc"], -row["lr"]))
+        best["selected"] = 1
     return rows
 
 

@@ -236,11 +236,10 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
         raise ValueError("need one train set and one config per model, and at least one model")
     features = train_sets[0].features
     shared = (configs[0].layer_sizes, configs[0].batch_size, configs[0].epochs, configs[0].loss)
-    for ds, c in zip(train_sets, configs):
-        if c.layer_sizes[0] != ds.num_features or c.layer_sizes[-1] != ds.num_classes:
-            raise ValueError(
-                f"config layers {c.layer_sizes} do not match data (m={ds.num_features}, K={ds.num_classes})"
-            )
+    for model, ds, c in zip(models, train_sets, configs):
+        if (model.layer_sizes, c.layer_sizes[0], c.layer_sizes[-1]) != (c.layer_sizes, ds.num_features, ds.num_classes):
+            raise ValueError(f"config layers {c.layer_sizes} do not match model layers {model.layer_sizes} "
+                             f"and data (m={ds.num_features}, K={ds.num_classes})")
         if (c.layer_sizes, c.batch_size, c.epochs, c.loss) != shared or ds.features is not features:
             raise ValueError("lockstep members must share layer_sizes, batch_size, epochs, loss and the feature matrix")
     n, (_, batch_size, epochs, spec) = len(features), shared
@@ -313,12 +312,13 @@ def train(model: MlpModel, train_ds: LabeledDataset, test_ds: LabeledDataset | N
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Checkpoint as .npz: layer_sizes plus w0,b0,w1,b1,... arrays."""
+    """Checkpoint as an .npz archive at exactly path: layer_sizes plus w0,b0,w1,b1,... arrays."""
     arrays = {"layer_sizes": np.array(model.layer_sizes, dtype=np.int64)}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
+    with open(path, "wb") as f:  # np.savez appends .npz to a path that lacks it, not to a file
+        np.savez(f, **arrays)
 
 
 def load_model(path) -> MlpModel:

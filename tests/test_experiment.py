@@ -213,11 +213,11 @@ def test_load_datasets_feature_mismatch(tmp_path):
 
 def test_run_cell_matches_manual_pipeline():
     train_ds, test_ds = _blobs()
-    rows = run_cell(train_ds, test_ds, FR, 0.4, 2, 7, (4,), 10, 3, 0.1)
+    cfg = MlpConfig((2, 4, 2), FR, 0.1, 10, 3, seed=7)
+    rows = run_cell(train_ds, test_ds, 0.4, 2, cfg)
     # corruption seed is derived from (repetition seed, eta position)
     noise = NoiseSpec(0.4, derive_seed(7, 2), train_ds.num_classes)
     noisy = train_ds.with_labels(corrupt_labels(train_ds.labels, noise))
-    cfg = MlpConfig((2, 4, 2), FR, 0.1, 10, 3, seed=7)
     records = train(init_model(cfg), noisy, test_ds, cfg)
     assert [row["run_id"] for row in rows] == ["fr-eta0.4-seed7"] * 3
     assert [(r["epoch"], r["train_loss"], r["train_acc"], r["test_acc"]) for r in rows] == [
@@ -229,7 +229,7 @@ def test_run_cell_divergence_is_captured(tmp_path):
     a = 1e200
     feats = np.array([[a, 0.0], [a, 0.0], [0.0, a], [0.0, a]])
     ds = LabeledDataset(feats, np.array([0, 1, 0, 1]), 2)
-    assert run_cell(ds, ds, CE, 0.0, 0, 2, (), 4, 3, 1e120) == [{
+    assert run_cell(ds, ds, 0.0, 0, MlpConfig((2, 2), CE, 1e120, 4, 3, seed=2)) == [{
         "run_id": "ce-eta0-seed2", "loss": "ce", "q": None, "eta": 0.0, "seed": 2,
         "epoch": 1, "train_loss": None, "train_acc": None, "test_acc": None,
     }]
@@ -685,22 +685,22 @@ def test_runs_that_all_diverge_after_epoch_one_are_counted_from_the_file(tmp_pat
 
 def test_grid_search_selects_best_and_breaks_ties_low(tmp_path):
     # wide blobs: every sane lr lands at 100% test accuracy, so the
-    # tie-break toward the smaller lr decides
+    # tie-break toward the smaller lr decides, whatever the grid order
     train_ds, test_ds = _blobs(80, 40, sep=4.0)
-    spec = _tiny_spec(
-        losses=(CE,), etas=(0.0,), seeds=(3,), class_sep=4.0,
-        lr=None, lr_grid=(0.05, 0.2), grid_epochs=5, epochs=5,
-    )
-    rows = grid_search_lr(train_ds, test_ds, spec)
-    assert len(rows) == 2
-    accs = [r["final_test_acc"] for r in rows]
-    assert accs[0] == accs[1] == 1.0, accs
-    assert rows[0]["selected"] == 1 and rows[0]["lr"] == 0.05
-    assert rows[1]["selected"] == 0
-    table_path = tmp_path / "lr.csv"
-    write_lr_table_csv(table_path, rows)
-    table = read_lr_table(table_path)
-    assert table == {("ce", 0.0): 0.05}
+    for lr_grid in ((0.05, 0.2), (0.2, 0.05)):
+        spec = _tiny_spec(
+            losses=(CE,), etas=(0.0,), seeds=(3,), class_sep=4.0,
+            lr=None, lr_grid=lr_grid, grid_epochs=5, epochs=5,
+        )
+        rows = grid_search_lr(train_ds, test_ds, spec)
+        assert [r["lr"] for r in rows] == list(lr_grid)
+        accs = [r["final_test_acc"] for r in rows]
+        assert accs[0] == accs[1] == 1.0, accs
+        assert [r["selected"] for r in rows] == [int(lr == 0.05) for lr in lr_grid]
+        table_path = tmp_path / "lr.csv"
+        write_lr_table_csv(table_path, rows)
+        table = read_lr_table(table_path)
+        assert table == {("ce", 0.0): 0.05}
 
 
 def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, monkeypatch):
@@ -722,8 +722,9 @@ def test_grid_search_rows_match_per_cell_runs_without_train_accuracy(tmp_path, m
     expected = []
     for eta_index, eta in enumerate(spec.etas):
         for loss in spec.losses:
-            runs = [run_cell(train_ds, test_ds, loss, eta, eta_index, spec.seeds[0], spec.hidden,
-                             spec.batch_size, 2, lr, eval_every_epoch=False) for lr in spec.lr_grid]
+            configs = [MlpConfig((2, *spec.hidden, 2), loss, lr, spec.batch_size, 2, spec.seeds[0])
+                       for lr in spec.lr_grid]
+            runs = [run_cell(train_ds, test_ds, eta, eta_index, config, eval_every_epoch=False) for config in configs]
             accs = [run[-1]["test_acc"] for run in runs]
             assert all(isinstance(row["train_acc"], float) for run in runs for row in run)
             expected += [{"loss": loss.kind, "q": loss.q, "eta": eta, "lr": lr, "final_test_acc": acc,
@@ -740,6 +741,19 @@ def test_run_sweep_records_train_accuracy_every_epoch(eval_every_epoch):
     train_ds, test_ds = _blobs()
     for run in run_sweep(train_ds, test_ds, _tiny_spec(eval_every_epoch=eval_every_epoch)):
         assert [type(row["train_acc"]) for row in run] == [float] * 3
+
+
+@pytest.mark.parametrize("eval_every_epoch", [True, False])
+def test_run_sweep_runs_equal_single_model_runs_of_their_cells(eval_every_epoch):
+    # the lockstep sweep path gives each cell the rows that run_cell, through train, gives it alone
+    train_ds, test_ds = _blobs(60, 30, sep=1.0)
+    spec = _tiny_spec(losses=(CE, qce(0.5), FR), eval_every_epoch=eval_every_epoch)
+    expected = [run_cell(train_ds, test_ds, eta, eta_index, MlpConfig((2, 4, 2), loss, 0.1, 10, 3, seed),
+                         eval_every_epoch=eval_every_epoch)
+                for eta_index, eta in enumerate(spec.etas) for loss in spec.losses for seed in spec.seeds]
+    assert run_sweep(train_ds, test_ds, spec) == expected
+    skipped = [row["test_acc"] is None for run in expected for row in run]
+    assert skipped == [not eval_every_epoch and row["epoch"] < 3 for run in expected for row in run]
 
 
 def test_grid_search_scores_divergence_minus_one():

@@ -427,12 +427,14 @@ def test_calls_leave_callers_feature_array_unchanged(layers):
 def test_checkpoint_round_trip(tmp_path):
     model = init_model(_config(layers=(5, 4, 3), seed=77))
     model.biases[0][:] = 0.25
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.layer_sizes == model.layer_sizes
-    for a, b in zip(model.weights + model.biases, back.weights + back.biases):
-        npt.assert_array_equal(a, b)
+    for name in ("model.npz", "model.ckpt"):  # the archive is written to exactly the given path
+        path = tmp_path / name
+        save_model(model, path)
+        back = load_model(path)
+        assert back.layer_sizes == model.layer_sizes
+        for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+            npt.assert_array_equal(a, b)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.npz"]
 
 
 def test_checkpoint_whose_arrays_disagree_with_its_layer_sizes_is_rejected(tmp_path):
@@ -649,3 +651,14 @@ def test_lockstep_rejects_members_that_cannot_share_a_step():
     fr = MlpConfig((2, 4, 2), FR, 0.1, 10, 2, seed=0)
     with pytest.raises(ValueError, match="loss"):
         train_lockstep([init_model(cfg), init_model(fr)], [train_ds, train_ds], [cfg, fr], record)
+
+
+def test_lockstep_rejects_a_model_that_does_not_match_its_config():
+    train_ds, test_ds = _blobs(40)
+    cfg = MlpConfig((2, 4, 2), CE, 0.1, 10, 2, seed=0)
+    deeper = init_model(MlpConfig((2, 5, 5, 2), CE, 0.1, 10, 2, seed=0))
+    message = r"config layers \(2, 4, 2\) do not match model layers \(2, 5, 5, 2\)"
+    with pytest.raises(ValueError, match=message):
+        train(deeper, train_ds, test_ds, cfg)
+    with pytest.raises(ValueError, match=message):  # not numpy's error from stacking the members
+        train_lockstep([init_model(cfg), deeper], [train_ds, train_ds], [cfg, cfg], _recorder(test_ds, 2, True))
