@@ -4,8 +4,8 @@ Subcommands: bounds (Table-1 curve sweeps), train (multi-seed noise sweep),
 grid-lr (learning-rate selection), distance (simplex distance queries),
 gen-data (synthetic dataset to CSV), losses-table (h and |h'| on a grid).
 
-Exit codes: 0 success; 2 usage/argument error; 3 data or file format error;
-4 at least one training run diverged (and nothing else failed).
+Exit codes: 0 success; 2 usage/argument error; 3 data or file format error, or
+out of memory; 4 at least one training run diverged (and nothing else failed).
 """
 
 import argparse
@@ -224,7 +224,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, MemoryError) as exc:  # numpy's MemoryError names the shape and size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -40,8 +40,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .simplex import (_by_rows, _softmax, as_distribution, as_scores, check_label_shape, check_labels, check_num_classes,
-                      softmax)
+from .simplex import (_by_rows, _row_sum, _softmax, as_distribution, as_scores, check_label_shape, check_labels,
+                      check_num_classes, softmax)
 
 # Probabilities are clamped to at least this before logs / negative powers.
 CLAMP_EPS = 1e-12
@@ -225,7 +225,7 @@ def _true_class(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
 def _loss_stat(spec: LossSpec, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The one number per sample that its loss needs: t = p_y, or ||p||^2 - 2 t for MSE."""
     if spec.kind == "mse":
-        return (probs * probs).sum(axis=-1) - 2.0 * t
+        return _row_sum(probs * probs) - 2.0 * t
     return t
 
 
@@ -285,7 +285,7 @@ def _score_gradients_into(probs: np.ndarray, at_y: np.ndarray, t: np.ndarray, sp
         v = 2.0 * probs
         v.reshape(-1)[at_y] -= 2.0
         v *= probs
-        probs *= v.sum(axis=-1, keepdims=True)
+        probs *= _row_sum(v)[..., None]
         np.subtract(v, probs, out=probs)
     else:
         probs.reshape(-1)[at_y] = t.reshape(-1) - 1.0

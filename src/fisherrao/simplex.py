@@ -11,8 +11,9 @@ the Fisher-Rao distance come out in closed form:
 with the exact relation d_FR = 4 arcsin(d_H / 2).
 
 Every bulk function here and in ``losses`` works row by row, so ``_by_rows``
-runs it over the leading axis in blocks of ROW_BLOCK rows: the bits are the
-same for any block size.
+runs it over the leading axis in blocks of ROW_BLOCK rows, whose row sums and
+maxima ``_row_sum`` and ``_row_max`` take by column: the bits are the same for
+any block size and either form of a reduction.
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ from numpy.typing import NDArray
 # kernel's temporaries stay in the core's L2 cache instead of streaming whole
 # arrays through memory (ROADMAP, "Measured and rejected").
 ROW_BLOCK = 4096
-# _softmax takes the row max one column at a time, which beats numpy's reduction
-# over short rows, on blocks of <= COLUMN_MAX_K classes and >= COLUMN_MIN_ROWS rows.
+# _row_max and _row_sum take a block of >= COLUMN_MIN_ROWS rows by column, which beats numpy's reduction over short
+# rows: the max up to COLUMN_MAX_K classes, the sum, in numpy's own order, up to 15 (ROADMAP, "Measured and rejected").
 COLUMN_MAX_K = 32
 COLUMN_MIN_ROWS = 512
 
@@ -104,21 +105,45 @@ def softmax(scores) -> NDArray[np.float64]:
 
 
 def _softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """softmax of float64 scores already known to be finite, into out (which may be s).
-
-    The row max is s.max, or a column-at-a-time max on a block of <= COLUMN_MAX_K classes and >= COLUMN_MIN_ROWS
-    rows, with the same bits: max is exact, and a max of either zero sign gives the same e = s - max and exp(e).
-    """
-    k = s.shape[-1]
-    if k > COLUMN_MAX_K or s.size < COLUMN_MIN_ROWS * k:
-        row_max = s.max(axis=-1, keepdims=True)
-    else:
-        row_max = s[..., :1].copy()
-        for j in range(1, k):
-            np.maximum(row_max, s[..., j : j + 1], out=row_max)
-    e = np.subtract(s, row_max, out=out)
+    """softmax of float64 scores already known to be finite, into out (which may be s)."""
+    e = np.subtract(s, _row_max(s)[..., None], out=out)
     np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+    return np.divide(e, _row_sum(e)[..., None], out=e)
+
+
+def _column_block(x: np.ndarray, max_k: int) -> bool:
+    """Whether x is >= COLUMN_MIN_ROWS rows of 1 to max_k classes, which _row_max and _row_sum take by column."""
+    return 0 < x.shape[-1] <= max_k and x.size >= COLUMN_MIN_ROWS * x.shape[-1]
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1); by column, only a zero max's sign can differ, which moves no exp(s - max)."""
+    if not _column_block(x, COLUMN_MAX_K):
+        return x.max(axis=-1)
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    return top
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) bit for bit (NaN payloads aside), by column on a C-contiguous block of < 16 classes.
+
+    numpy adds a contiguous row of fewer than 8 in order, and a row of 8 to 15 as the lanes
+    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) and then its tail in order, onto +0.0.
+    """
+    if not (_column_block(x, 15) and x.flags.c_contiguous):
+        return x.sum(axis=-1)
+    k = x.shape[-1]
+    if k < 8:
+        total = x[..., 0].copy()
+    else:
+        total = (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
+        total += (x[..., 4] + x[..., 5]) + (x[..., 6] + x[..., 7])
+    for j in range(1 if k < 8 else 8, k):
+        total += x[..., j]
+    total += 0.0  # the +0.0 start: a row of -0.0 sums to +0.0, and any other sum keeps its bits
+    return total
 
 
 def sphere_embed(p) -> NDArray[np.float64]:
@@ -146,7 +171,7 @@ def fisher_rao_distance(p, q):
 
 
 def _fisher_rao(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    affinity = np.sqrt(p * q).sum(axis=-1)
+    affinity = _row_sum(np.sqrt(p * q))
     return np.multiply(2.0, np.arccos(np.clip(affinity, -1.0, 1.0)), out=out)
 
 
@@ -158,7 +183,7 @@ def hellinger_distance(p, q):
 
 def _hellinger(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     diff = np.sqrt(p) - np.sqrt(q)
-    return np.sqrt((diff * diff).sum(axis=-1), out=out)
+    return np.sqrt(_row_sum(diff * diff), out=out)
 
 
 def fisher_rao_from_hellinger(d_h):
@@ -173,7 +198,7 @@ def sample_simplex(rng: "np.random.Generator", num_classes: int, n: int | None =
     """
     shape = (num_classes,) if n is None else (n, num_classes)
     x = rng.standard_exponential(shape)
-    return x / x.sum(axis=-1, keepdims=True)
+    return _by_rows(lambda block, out: np.divide(block, _row_sum(block)[..., None], out=out), x, x)
 
 
 def _by_rows(kernel, out: np.ndarray, *arrays: np.ndarray):

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fisherrao import cli
+from fisherrao import cli, experiment
 from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
 from fisherrao.experiment import (load_datasets, parse_config, read_lr_table, read_per_epoch_csv, summarize_from_csv,
@@ -88,6 +88,22 @@ def test_bounds_alpha_near_one_stays_below_the_limit(tmp_path):
     assert cli.run(["bounds", "--sweep", "alpha", "--K", "3", "--alpha-max", "0.9999999999999999",
                     "--points", "2", "--out", str(out)]) == 0
     assert float(_read_rows(out)[-1]["eta"]) == 0.6666666666666665
+
+
+@pytest.mark.parametrize("command, module, name", [(["bounds", "--sweep", "alpha", "--out"], cli, "alpha_sweep"),
+                                                   (["train", "--out-dir"], experiment, "load_datasets"),
+                                                   (["grid-lr", "--out"], cli, "load_datasets")])
+def test_an_array_too_large_for_memory_is_data_error(tmp_path, capsys, monkeypatch, command, module, name):
+    # numpy's message where memory runs out, as for a huge hidden width or --points; nothing large is allocated
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000000, 100) and data type float64"
+
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, allocate)
+    config = [] if command[0] == "bounds" else ["--config", str(_write_config(tmp_path / "exp.cfg", lr_grid="0.1"))]
+    assert cli.run([*command, str(tmp_path / "out"), *config]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bounds_unwritable_out_is_data_error(tmp_path, capsys):

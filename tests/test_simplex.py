@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -299,13 +299,13 @@ _EDGE_ROWS = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, simp
 
 
 def _tiled(rows: np.ndarray) -> np.ndarray:
-    """rows repeated past COLUMN_MIN_ROWS: _softmax takes such a block's row max a column at a time (K <= 32)."""
+    """rows repeated past COLUMN_MIN_ROWS: such a block takes its row max (K <= 32) and row sum (K <= 15) by column."""
     return np.tile(rows, (simplex.COLUMN_MIN_ROWS // len(rows) + 1, 1))
 
 
 @pytest.mark.parametrize("k", [2, 10, simplex.COLUMN_MAX_K, simplex.COLUMN_MAX_K + 1])
 def test_bulk_softmax_matches_the_training_kernel_bit_for_bit(k):
-    # a bulk block of COLUMN_MIN_ROWS rows takes the row max a column at a time; a training step's few rows reduce
+    # a bulk block of COLUMN_MIN_ROWS rows takes its row max and sum by column; a training step's few rows reduce
     scores = make_rng(5, k).normal(0.0, 8.0, (simplex.COLUMN_MIN_ROWS, k))
     scores[0] = 0.0
     scores[1] = -np.abs(scores[1])
@@ -337,3 +337,53 @@ def test_softmax_of_a_column_form_block_matches_each_rows_own_call_bit_for_bit(r
         block = simplex._softmax(_tiled(rows))
         own = [simplex._softmax(row.copy()) for row in rows]
     assert block.tobytes() == _tiled(np.array(own)).tobytes()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, NaN in the same places, and the same bits (zero signs included) everywhere else."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# 1-6 rows of 1 to COLUMN_MAX_K + 1 entries: zeros of both signs, subnormals, +-inf, +-1e308, NaN and any float
+_SUM_ROWS = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, simplex.COLUMN_MAX_K + 1)),
+                   elements=st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, np.inf,
+                                                       -np.inf, np.nan, 1.0)), st.floats()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_SUM_ROWS, n=st.sampled_from((1, simplex.COLUMN_MIN_ROWS - 1, simplex.COLUMN_MIN_ROWS, 1031)),
+       order=st.sampled_from("CF"))
+@example(rows=np.full((2, 3), -0.0), n=simplex.COLUMN_MIN_ROWS, order="C")  # a row of -0.0 sums to +0.0
+@example(rows=np.full((1, 10), -0.0), n=simplex.COLUMN_MIN_ROWS, order="C")
+def test_row_sum_matches_numpys_reduction_bit_for_bit(rows, n, order):
+    # n rows on both sides of COLUMN_MIN_ROWS; an F-ordered block is summed by numpy's reduction, as numpy sums it
+    x = np.asarray(np.tile(rows, (n // len(rows) + 1, 1))[:n], order=order)
+    with np.errstate(all="ignore"):
+        assert _same_bits(simplex._row_sum(x), x.sum(axis=-1))
+
+
+# p and q: 1-4 rows each of 2 to COLUMN_MAX_K + 1 non-negative entries, with zeros of both signs, subnormals and 1
+_PROB_ROWS = arrays(np.float64, st.tuples(st.just(2), st.integers(1, 4), st.integers(2, simplex.COLUMN_MAX_K + 1)),
+                    elements=st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0)), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROB_ROWS)
+def test_distances_of_a_column_form_block_match_each_rows_own_call_bit_for_bit(pq):
+    # a single row is a block of one row, so its own call reduces
+    for distance in (fisher_rao_distance, hellinger_distance):
+        own = np.array([[distance(p, q)] for p, q in zip(*pq)])
+        assert distance(*map(_tiled, pq)).tobytes() == _tiled(own)[:, 0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROB_ROWS, st.integers(0, simplex.COLUMN_MAX_K))
+def test_mse_loss_and_gradient_of_a_column_form_block_match_each_rows_own_call_bit_for_bit(pq, shift):
+    probs = pq[0]
+    labels = (np.arange(len(probs)) + shift) % probs.shape[1]
+    mse, block_labels = LossSpec("mse"), _tiled(labels[:, None])[:, 0]
+    own_losses = np.array([loss_values(mse, p[None], [y]) for p, y in zip(probs, labels)])
+    own_grads = np.concatenate([score_gradients(mse, p[None], [y]) for p, y in zip(probs, labels)])
+    assert loss_values(mse, _tiled(probs), block_labels).tobytes() == _tiled(own_losses)[:, 0].tobytes()
+    assert score_gradients(mse, _tiled(probs), block_labels).tobytes() == _tiled(own_grads).tobytes()
