@@ -7,6 +7,7 @@ Train and test sets use disjoint PRNG streams, so resizing one never
 perturbs the other.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -218,57 +219,45 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledDataset, LabeledData
     return train, test
 
 
-def _read_exact(data: bytes, offset: int, count: int, path, what: str) -> bytes:
-    if offset + count > len(data):
-        raise DataFormatError(
-            f"truncated file: needed {count} bytes for {what}, found {len(data) - offset}",
-            path=path,
-            offset=offset,
-        )
-    return data[offset : offset + count]
-
-
 def _read_idx(path, expected_magic: int, expected_dims: int):
-    """Parse one IDX file; returns (dimension sizes, flat ubyte payload)."""
+    """Parse one IDX file in one pass; returns (dimension sizes, flat ubyte payload).
+
+    The file must be the magic, expected_dims big-endian uint32 sizes, none of
+    them 0, and exactly their product in data bytes.  A bad magic (checked
+    whenever 4 bytes are present), a short file, trailing bytes or a zero size
+    raise DataFormatError with the byte offset.  The payload is a read-only view
+    of the bytes read, not a copy.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    magic_bytes = _read_exact(data, 0, 4, path, "magic number")
-    (magic,) = struct.unpack(">I", magic_bytes)
-    if magic != expected_magic:
-        kind = {IDX_MAGIC_IMAGES: "an image", IDX_MAGIC_LABELS: "a label"}.get(magic)
-        detail = f"this is {kind} file" if kind else "not an IDX magic"
-        raise DataFormatError(
-            f"bad magic 0x{magic:08x} (expected 0x{expected_magic:08x}; {detail})",
-            path=path,
-            offset=0,
-        )
-    offset = 4
-    dims = []
-    for i in range(expected_dims):
-        chunk = _read_exact(data, offset, 4, path, f"dimension {i}")
-        dims.append(struct.unpack(">I", chunk)[0])
-        offset += 4
-    count = int(np.prod(dims, dtype=np.int64))
-    payload = _read_exact(data, offset, count, path, f"{count} data bytes")
-    if len(data) > offset + count:
-        raise DataFormatError(
-            f"{len(data) - offset - count} trailing bytes after payload",
-            path=path,
-            offset=offset + count,
-        )
-    return dims, np.frombuffer(payload, dtype=np.uint8)
+    if len(data) >= 4 and (magic := struct.unpack_from(">I", data)[0]) != expected_magic:
+        kind = {IDX_MAGIC_IMAGES: "this is an image file", IDX_MAGIC_LABELS: "this is a label file"}
+        detail = kind.get(magic, "not an IDX magic")
+        raise DataFormatError(f"bad magic 0x{magic:08x} (expected 0x{expected_magic:08x}; {detail})", path=path, offset=0)
+    header = 4 * (1 + expected_dims)
+    dims = struct.unpack_from(f">{expected_dims}I", data, 4) if len(data) >= header else ()
+    if 0 in dims:
+        raise DataFormatError(f"dimension {dims.index(0)} is 0", path=path, offset=4 + 4 * dims.index(0))
+    size = header + math.prod(dims) if dims else header  # Python ints: no product wraps
+    if len(data) != size:
+        problem = "truncated file" if len(data) < size else f"{len(data) - size} trailing bytes"
+        raise DataFormatError(f"{problem}: expected {size} bytes, found {len(data)}", path=path,
+                              offset=min(len(data), size))
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=header)
 
 
 def load_mnist(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
-    """Load an IDX image/label file pair; features flattened and scaled to [0, 1]."""
+    """Load an IDX image/label file pair; features flattened and scaled to [0, 1].
+
+    A malformed file raises DataFormatError naming that file and a byte offset;
+    a count mismatch names the image file, and a label out of [0, num_classes)
+    the label file.
+    """
     (n_img, rows, cols), pixels = _read_idx(images_path, IDX_MAGIC_IMAGES, 3)
     (n_lab,), raw_labels = _read_idx(labels_path, IDX_MAGIC_LABELS, 1)
     if n_img != n_lab:
-        raise DataFormatError(
-            f"image count {n_img} does not match label count {n_lab} in {labels_path}",
-            path=images_path,
-            offset=4,
-        )
+        raise DataFormatError(f"image count {n_img} does not match label count {n_lab} in {labels_path}",
+                              path=images_path, offset=4)
     feats = pixels.reshape(n_img, rows * cols).astype(np.float64)
     feats /= 255.0  # in place: one float64 copy of the pixels, not two
     try:

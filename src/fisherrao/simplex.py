@@ -23,9 +23,8 @@ from numpy.typing import NDArray
 # kernel's temporaries stay in the core's L2 cache instead of streaming whole
 # arrays through memory (ROADMAP, "Measured and rejected").
 ROW_BLOCK = 4096
-# _row_max and _row_sum take a block of >= COLUMN_MIN_ROWS rows by column, which beats numpy's reduction over short
-# rows: the max up to COLUMN_MAX_K classes, the sum, in numpy's own order, up to 15 (ROADMAP, "Measured and rejected").
-COLUMN_MAX_K = 32
+# _row_max and _row_sum take a C-contiguous block of >= COLUMN_MIN_ROWS rows of 1 to 15 classes by column, the sum in
+# numpy's own order, which beats numpy's reduction over such short rows (ROADMAP, "Measured and rejected").
 COLUMN_MIN_ROWS = 512
 
 # Tolerance on sum(p) == 1 for validated distributions; entries more negative
@@ -111,14 +110,14 @@ def _softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(e, _row_sum(e)[..., None], out=e)
 
 
-def _column_block(x: np.ndarray, max_k: int) -> bool:
-    """Whether x is >= COLUMN_MIN_ROWS rows of 1 to max_k classes, which _row_max and _row_sum take by column."""
-    return 0 < x.shape[-1] <= max_k and x.size >= COLUMN_MIN_ROWS * x.shape[-1]
+def _column_block(x: np.ndarray) -> bool:
+    """Whether _row_max and _row_sum take x by column: a C-contiguous block of >= COLUMN_MIN_ROWS rows of 1-15 classes."""
+    return 0 < x.shape[-1] <= 15 and x.size >= COLUMN_MIN_ROWS * x.shape[-1] and x.flags.c_contiguous
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """x.max(axis=-1); by column, only a zero max's sign can differ, which moves no exp(s - max)."""
-    if not _column_block(x, COLUMN_MAX_K):
+    if not _column_block(x):
         return x.max(axis=-1)
     top = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
@@ -127,12 +126,12 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-1) bit for bit (NaN payloads aside), by column on a C-contiguous block of < 16 classes.
+    """x.sum(axis=-1) bit for bit (NaN payloads aside), by column on a _column_block.
 
     numpy adds a contiguous row of fewer than 8 in order, and a row of 8 to 15 as the lanes
     ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) and then its tail in order, onto +0.0.
     """
-    if not (_column_block(x, 15) and x.flags.c_contiguous):
+    if not _column_block(x):
         return x.sum(axis=-1)
     k = x.shape[-1]
     if k < 8:

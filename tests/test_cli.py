@@ -14,7 +14,7 @@ from fisherrao.experiment import (load_datasets, parse_config, read_lr_table, re
                                   write_summary_csv)
 from fisherrao.losses import FR
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance
-from test_data import _write_idx_images, _write_idx_labels
+from test_data import _idx_header, _write_idx_images, _write_idx_labels
 
 
 def _read_rows(path):
@@ -311,6 +311,17 @@ def test_train_on_mnist_idx_files_keeps_train_limit_rows(tmp_path):
     run_ids = {row["run_id"] for row in read_per_epoch_csv(out / "runs.csv")}
     assert run_ids == {f"{loss}-eta{eta}-seed{seed}" for loss in ("ce", "fr") for eta in ("0", "0.4")
                        for seed in (0, 1)}
+
+
+def test_train_on_an_idx_header_whose_size_passes_int64_is_data_error_naming_the_image_file(tmp_path, capsys):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    images.write_bytes(_idx_header(0x00000803, 4, 2**31, 2**31))  # 2**64 pixel bytes claimed, none there
+    _write_idx_labels(labels, [0, 1, 2, 3])
+    cfg = _write_config(tmp_path / "exp.cfg", dataset="mnist", train_images=images, train_labels=labels,
+                        test_images=images, test_labels=labels)
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    message = f"truncated file: expected {16 + 2**64} bytes, found 16"
+    assert capsys.readouterr().err == f"error: {images}: byte offset 16: {message}\n"
 
 
 def test_train_missing_config_is_data_error(tmp_path):

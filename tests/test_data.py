@@ -1,9 +1,12 @@
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fisherrao.data import (
     DataFormatError,
@@ -178,18 +181,17 @@ def test_synthetic_noise_is_unit_variance():
 # --------------------------------------------------------------------- IDX
 
 
+def _idx_header(magic, *dims):
+    return b"".join(v.to_bytes(4, "big") for v in (magic, *dims))
+
+
 def _write_idx_images(path, arrays):
     n, rows, cols = len(arrays), len(arrays[0]), len(arrays[0][0])
-    blob = (0x00000803).to_bytes(4, "big") + n.to_bytes(4, "big") + rows.to_bytes(4, "big") + cols.to_bytes(4, "big")
-    for img in arrays:
-        for row in img:
-            blob += bytes(row)
-    path.write_bytes(blob)
+    path.write_bytes(_idx_header(0x00000803, n, rows, cols) + b"".join(bytes(row) for img in arrays for row in img))
 
 
 def _write_idx_labels(path, labels):
-    blob = (0x00000801).to_bytes(4, "big") + len(labels).to_bytes(4, "big") + bytes(labels)
-    path.write_bytes(blob)
+    path.write_bytes(_idx_header(0x00000801, len(labels)) + bytes(labels))
 
 
 def _independent_first_label(path):
@@ -226,8 +228,7 @@ def test_load_idx_pair(idx_pair):
 def test_load_idx_scales_in_place(tmp_path):
     pixels = np.random.default_rng(0).integers(0, 256, size=(500, 28, 28), dtype=np.uint8)
     img_path, lab_path = tmp_path / "imgs.idx3-ubyte", tmp_path / "labs.idx1-ubyte"
-    header = b"".join(v.to_bytes(4, "big") for v in (0x00000803, *pixels.shape))
-    img_path.write_bytes(header + pixels.tobytes())
+    img_path.write_bytes(_idx_header(0x00000803, *pixels.shape) + pixels.tobytes())
     _write_idx_labels(lab_path, [i % 10 for i in range(500)])
     ds, peak = _traced_peak(load_mnist, img_path, lab_path)
     assert ds.features.tobytes() == (pixels.reshape(500, -1).astype(np.float64) / 255.0).tobytes()
@@ -277,6 +278,44 @@ def test_load_idx_label_out_of_range_is_data_error(idx_pair, tmp_path):
     with pytest.raises(DataFormatError, match="out of range") as exc:
         load_mnist(img_path, bad)
     assert exc.value.path == bad
+
+
+def test_load_idx_zero_dimension_is_data_error_of_the_image_file(idx_pair, tmp_path):
+    _, lab_path = idx_pair  # 3 labels, as many as the images claim
+    empty = tmp_path / "empty.idx3-ubyte"
+    empty.write_bytes(_idx_header(0x00000803, 3, 0, 5))
+    with pytest.raises(DataFormatError, match="dimension 1 is 0") as exc:
+        load_mnist(empty, lab_path)
+    assert (exc.value.path, exc.value.offset) == (empty, 8)
+
+
+_IDX_SIZES = st.sampled_from((0, 1, 2, 3, 2**31, 2**32 - 1))
+
+
+@st.composite
+def _image_dims_and_payload_length(draw):
+    """3 image dimensions and a payload length of at most 64: within a byte of their product when that fits."""
+    dims = draw(st.tuples(_IDX_SIZES, _IDX_SIZES, _IDX_SIZES))
+    size = math.prod(dims)
+    return dims, draw(st.sampled_from(sorted({max(size - 1, 0), size, size + 1})) if size <= 64 else st.integers(0, 64))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(image=_image_dims_and_payload_length())
+@example(image=((4, 2**31, 2**31), 0))  # 2**64 bytes: a product in int64 wraps to 0, which the header alone matches
+def test_idx_image_file_loads_to_its_shape_or_is_a_data_error_of_its_own(tmp_path, image):
+    dims, length = image
+    img_path, lab_path = tmp_path / "imgs.idx3-ubyte", tmp_path / "labs.idx1-ubyte"
+    pixels = bytes(range(length))  # never a drawn size: at most 64 bytes and 64 labels
+    img_path.write_bytes(_idx_header(0x00000803, *dims) + pixels)
+    _write_idx_labels(lab_path, [i % 10 for i in range(min(dims[0], 64))])
+    try:
+        ds = load_mnist(img_path, lab_path)
+    except DataFormatError as exc:
+        assert exc.path == img_path and 0 <= exc.offset <= 16 + length
+    else:
+        assert ds.features.shape == (dims[0], dims[1] * dims[2])
+        assert ds.features.tobytes() == (np.frombuffer(pixels, dtype=np.uint8) / 255.0).tobytes()
 
 
 # --------------------------------------------------------------------- CSV
