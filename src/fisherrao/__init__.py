@@ -6,7 +6,7 @@ model, Table-style robustness bounds A(K, eta) / B(K, eta), a small
 from-scratch MLP + SGD harness, and an experiment runner with CSV output.
 """
 
-from .bounds import BoundResult, bound_A, bound_B, bounds, fr_critical_value, fr_sum_bounds
+from .bounds import BoundResult, bound_A, bound_B, bounds
 from .data import (
     DataFormatError,
     LabeledDataset,
@@ -25,6 +25,8 @@ from .losses import (
     MAE,
     MSE,
     LossSpec,
+    fr_critical_value,
+    fr_sum_bounds,
     h_prime_abs,
     loss_gradient_scores,
     loss_sum_over_classes,
@@ -99,6 +101,7 @@ __all__ = [
     "fr_sum_bounds",
     "generate_synthetic",
     "h_prime_abs",
+    "hellinger_distance",
     "init_model",
     "load_csv",
     "load_mnist",

@@ -10,16 +10,16 @@ A = +inf, B = -inf, and in between
     A = eta * (S_max - S_min) / (K - 1)
     B = -eta * (S_max - S_min) / (K - 1 - eta K)
 
-with (S_min, S_max) the range of the loss sum.  For the Fisher-Rao loss that
-range is (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)); for MSE it is (K-1, 2(K-1));
-for q-CE with q in (0, 1) the difference S_max - S_min equals (K^q - 1)/(1-q),
-whose q = 1/2 case is the Hellinger row 2(sqrt(K) - 1).
+with (S_min, S_max) the range of the loss sum, which ``losses`` keeps per kind
+along with the FR critical values: (K arccos(1/sqrt(K))^2, (pi^2/4)(K-1)) for
+FR, (K-1, 2(K-1)) for MSE; for q-CE with q in (0, 1) S_max - S_min equals
+(K^q - 1)/(1-q), whose q = 1/2 case is the Hellinger row 2(sqrt(K) - 1).
 """
 
 import math
 from dataclasses import dataclass
 
-from .losses import KINDS, LossSpec, fr_critical_value, fr_sum_bounds, loss_sum_range_width
+from .losses import LossSpec, loss_sum_range_width
 from .noise import alpha_to_eta, check_regime
 
 SWEEP_COLUMNS = ("loss", "q", "K", "alpha", "eta", "A", "B")
@@ -81,17 +81,3 @@ def class_count_sweep(specs: list[LossSpec], alpha: float, class_counts) -> list
     """Bound curves at fixed alpha over a grid of class counts K >= 2."""
     return _sweep_rows(specs, ((float(alpha), int(k)) for k in class_counts))
 
-
-# Re-export for callers that build specs from strings at sweep time.
-__all__ = [
-    "BoundResult",
-    "KINDS",
-    "SWEEP_COLUMNS",
-    "alpha_sweep",
-    "bound_A",
-    "bound_B",
-    "bounds",
-    "class_count_sweep",
-    "fr_critical_value",
-    "fr_sum_bounds",
-]

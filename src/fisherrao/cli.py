@@ -4,13 +4,15 @@ Subcommands: bounds (Table-1 curve sweeps), train (multi-seed noise sweep),
 grid-lr (learning-rate selection), distance (simplex distance queries),
 gen-data (synthetic dataset to CSV), losses-table (h and |h'| on a grid).
 
-Exit codes: 0 success; 2 usage/argument error; 3 data or file format error, or
-out of memory; 4 at least one training run diverged (and nothing else failed).
+Exit codes: 0 success; 2 usage/argument error, such as a loss or class count
+listed twice; 3 data or file format error, or out of memory; 4 at least one
+training run diverged (and nothing else failed).
 """
 
 import argparse
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from . import svgplot
 from .bounds import SWEEP_COLUMNS, alpha_sweep, class_count_sweep
 from .data import DataFormatError, SyntheticSpec, generate_synthetic, save_csv, write_rows
 from .experiment import (
+    ExperimentSpec,
     grid_search_lr,
     load_datasets,
     parse_config,
@@ -34,11 +37,19 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _parse_list(text: str, parse, flag: str) -> list:
+def _parse_list(text: str, parse, flag: str, distinct: bool = True) -> list:
     items = [parse(tok) for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"{flag} must list at least one value, got {text!r}")
+    if distinct and (repeated := [item for item, count in Counter(items).items() if count > 1]):
+        raise ValueError(f"{flag} lists {str(repeated[0])!r} more than once; give each entry once")
     return items
+
+
+def _curve(label: str, rows, x: str, y: str) -> tuple[str, list, list]:
+    """A line_plot series: the (row[x], row[y]) points of the rows where y was recorded."""
+    points = [(row[x], row[y]) for row in rows if row[y] is not None]
+    return label, [point[0] for point in points], [point[1] for point in points]
 
 
 def _progress(line: str) -> None:
@@ -50,26 +61,19 @@ def cmd_bounds(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.sweep == "alpha":
-        alphas = np.linspace(0.0, args.alpha_max, args.points)
-        rows = alpha_sweep(specs, args.K, alphas)
-        x_key, x_label = "alpha", "alpha"
-        default_out = "bounds_alpha.csv"
+        rows = alpha_sweep(specs, args.K, np.linspace(0.0, args.alpha_max, args.points))
+        x_label = "alpha"
     else:
-        ks = _parse_list(args.K_grid, int, "--K-grid")
-        rows = class_count_sweep(specs, args.alpha, ks)
-        x_key, x_label = "K", "number of classes K"
-        default_out = "bounds_K.csv"
-    out = args.out if args.out else default_out
+        rows = class_count_sweep(specs, args.alpha, _parse_list(args.K_grid, int, "--K-grid"))
+        x_label = "number of classes K"
+    out = args.out or f"bounds_{args.sweep}.csv"
     write_rows(out, SWEEP_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if args.svg:
         stem = os.path.splitext(out)[0]
+        by_spec = {spec: [row for row in rows if (row["loss"], row["q"]) == (spec.kind, spec.q)] for spec in specs}
         for col, name in (("A", "upper bound A"), ("B", "lower bound B")):
-            series = []
-            for spec in specs:
-                label = str(spec)
-                pts = [(r[x_key], r[col]) for r in rows if r["loss"] == spec.kind and r["q"] == spec.q]
-                series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
+            series = [_curve(str(spec), spec_rows, args.sweep, col) for spec, spec_rows in by_spec.items()]
             path = f"{stem}_{col}.svg"
             svgplot.line_plot(path, series, title=f"{name} vs {x_label}", xlabel=x_label, ylabel=col)
             print(f"wrote {path}")
@@ -90,11 +94,8 @@ def cmd_train(args) -> int:
     if args.svg:
         by_id = {run[0]["run_id"]: run for run in runs}
         for eta in spec.etas:
-            series = []
-            for loss in spec.losses:
-                pts = [(row["epoch"], row["test_acc"]) for row in by_id[run_id(loss, eta, spec.seeds[0])]
-                       if row["test_acc"] is not None]
-                series.append((str(loss), [p[0] for p in pts], [p[1] for p in pts]))
+            series = [_curve(str(loss), by_id[run_id(loss, eta, spec.seeds[0])], "epoch", "test_acc")
+                      for loss in spec.losses]
             path = os.path.join(out_dir, f"accuracy_eta{_exact_g(eta)}.svg")
             svgplot.line_plot(path, series, title=f"test accuracy, eta = {_exact_g(eta)} (seed {spec.seeds[0]})",
                               xlabel="epoch", ylabel="test accuracy")
@@ -126,8 +127,8 @@ def cmd_grid_lr(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    p = as_distribution(_parse_list(args.p, float, "--p"), name="--p")
-    q = as_distribution(_parse_list(args.q, float, "--q"), name="--q")
+    p = as_distribution(_parse_list(args.p, float, "--p", distinct=False), name="--p")
+    q = as_distribution(_parse_list(args.q, float, "--q", distinct=False), name="--q")
     if p.size != q.size:
         raise ValueError(f"--p and --q must have the same length, got {p.size} and {q.size}")
     d_h = float(hellinger_distance(p, q))
@@ -156,10 +157,8 @@ def cmd_losses_table(args) -> int:
     grid = np.arange(1, args.points + 1, dtype=np.float64) / args.points  # (0, 1]
     probs = np.stack([grid, 1.0 - grid], axis=1)
     labels = np.zeros(grid.size, dtype=np.int64)
-    rows = []
-    for spec in specs:
-        h = loss_values(spec, probs, labels)
-        rows.extend((spec.kind, spec.q, t, hv, hpv) for t, hv, hpv in zip(grid, h, h_prime_abs(spec, grid)))
+    rows = [(spec.kind, spec.q, t, h, h_prime) for spec in specs
+            for t, h, h_prime in zip(grid, loss_values(spec, probs, labels), h_prime_abs(spec, grid))]
     write_rows(args.out, ("loss", "q", "p", "h", "h_prime_abs"), rows)
     print(f"wrote {args.out} ({len(specs)} losses x {grid.size} grid points)")
     return EXIT_OK
@@ -203,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset and save train/test CSVs")
-    p.add_argument("--n-train", type=int, default=8000)
-    p.add_argument("--n-test", type=int, default=2000)
-    p.add_argument("--features", type=int, default=100)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--class-sep", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-train", type=int, default=ExperimentSpec.n_train)
+    p.add_argument("--n-test", type=int, default=ExperimentSpec.n_test)
+    p.add_argument("--features", type=int, default=ExperimentSpec.features)
+    p.add_argument("--classes", type=int, default=ExperimentSpec.classes)
+    p.add_argument("--class-sep", type=float, default=ExperimentSpec.class_sep)
+    p.add_argument("--seed", type=int, default=ExperimentSpec.data_seed)
     p.add_argument("--out-dir", default="data")
     p.set_defaults(func=cmd_gen_data)
 

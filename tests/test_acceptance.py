@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from fisherrao.bounds import bound_A, bound_B, fr_sum_bounds
+from fisherrao.bounds import bound_A, bound_B
 from fisherrao.data import SyntheticSpec, generate_synthetic, load_mnist
 from fisherrao.experiment import (
     ExperimentSpec,
@@ -23,7 +23,8 @@ from fisherrao.experiment import (
     run_sweep,
     summarize,
 )
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, KINDS, LossSpec, loss_value, loss_values, qce, score_gradients
+from fisherrao.losses import (CE, FR, HELLINGER, MAE, MSE, KINDS, LossSpec, fr_sum_bounds, loss_value, loss_values, qce,
+                              score_gradients)
 from fisherrao.mlp import batch_grad, init_model, MlpConfig
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance, sample_simplex, softmax
 from fisherrao.rng import make_rng

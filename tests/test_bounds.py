@@ -8,16 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fisherrao.bounds import (
-    alpha_sweep,
-    bound_A,
-    bound_B,
-    bounds,
-    class_count_sweep,
+from fisherrao.bounds import alpha_sweep, bound_A, bound_B, bounds, class_count_sweep
+from fisherrao.losses import (
+    CE,
+    FR,
+    HELLINGER,
+    MAE,
+    MSE,
+    LossSpec,
     fr_critical_value,
     fr_sum_bounds,
+    loss_sum_range_width,
+    qce,
 )
-from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_sum_range_width, qce
 from fisherrao.noise import NoiseSpec, alpha_to_eta, check_regime, eta_to_alpha
 
 FINITE_KINDS = [MSE, qce(0.3), qce(0.7), FR, HELLINGER]

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import fisherrao
 from fisherrao import cli, experiment
 from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
@@ -136,6 +138,11 @@ def test_distance_rejects_bad_inputs(capsys):
     capsys.readouterr()
     assert cli.run(["distance", "--p", "", "--q", "0.5,0.5"]) == 2
     assert "--p must list at least one value" in capsys.readouterr().err
+
+
+def test_distance_accepts_repeated_probabilities(capsys):
+    assert cli.run(["distance", "--p", "0.25,0.25,0.5", "--q", "0.25,0.25,0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "d_fr          = 0"
 
 
 # ----------------------------------------------------------------- gen-data
@@ -545,6 +552,19 @@ def test_empty_list_is_usage_error(tmp_path, capsys, args, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag,entry", [
+    (["bounds", "--sweep", "alpha", "--losses", "fr,fr", "--points", "3", "--svg"], "--losses", "fr"),
+    (["bounds", "--sweep", "K", "--losses", "qce:0.7,mse,qce:0.70", "--svg"], "--losses", "qce:0.7"),
+    (["losses-table", "--losses", "fr,fr", "--points", "2"], "--losses", "fr"),
+    (["bounds", "--sweep", "K", "--losses", "fr", "--K-grid", "10,10"], "--K-grid", "10"),
+    (["bounds", "--sweep", "K", "--losses", "fr", "--K-grid", "3,10,010", "--svg"], "--K-grid", "10"),
+], ids=["bounds_losses", "bounds_qce_spelled_twice", "losses_table", "K_grid", "K_grid_spelled_twice"])
+def test_repeated_list_entry_is_usage_error(tmp_path, capsys, args, flag, entry):
+    assert cli.run([*args, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} lists {entry!r} more than once; give each entry once\n"
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor an SVG
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])
@@ -567,3 +587,9 @@ def test_importing_the_package_and_cli_leaves_numpy_random_unloaded():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert 0.0 <= float(result.stdout) < 1.0
+
+
+def test_package_all_is_its_public_names_that_are_not_modules():
+    public = [name for name, value in vars(fisherrao).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(fisherrao.__all__) == sorted(public)

@@ -195,6 +195,29 @@ def test_h_prime_abs_clamps_and_rejects_mse():
             of_p_y(MSE, 0.5)
 
 
+# every kind that is a function of t = p_y, q-CE at any q in [0, 1]; t at or below CLAMP_EPS
+_P_Y_SPECS = st.one_of(st.sampled_from([MAE, CE, FR, HELLINGER]), st.floats(0.0, 1.0).map(qce))
+_BELOW_CLAMP = st.one_of(st.sampled_from((0.0, 5e-324, CLAMP_EPS)), st.floats(0.0, CLAMP_EPS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_P_Y_SPECS, _BELOW_CLAMP)
+@example(qce(0.0), 0.0)
+@example(CE, 5e-324)
+def test_t_below_clamp_eps_acts_as_clamp_eps(spec, t):
+    """Loss, |h'(t)| and gradient weight at t equal their values at CLAMP_EPS; MAE and qce:0 stay exactly 1 - t."""
+    def at(t):
+        probs, labels = np.array([[t, 1.0 - t]]), np.array([0])
+        return (loss_values(spec, probs, labels)[0], h_prime_abs(spec, t), gradient_weight(spec, t),
+                score_gradients(spec, probs, labels))
+
+    loss, slope, weight, gradient = at(t)
+    clamped_loss, clamped_slope, clamped_weight, _ = at(CLAMP_EPS)
+    assert loss == (1.0 - t if spec in (MAE, qce(0.0)) else clamped_loss)
+    assert slope == clamped_slope and weight == clamped_weight
+    assert np.all(np.isfinite(gradient))
+
+
 def test_h_prime_ordering_matches_chain():
     # learning-speed factors: CE >= FR >= Hellinger >= MAE on (0, 1)
     t = np.linspace(0.01, 0.99, 200)
