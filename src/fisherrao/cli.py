@@ -29,7 +29,8 @@ from .experiment import (
     write_lr_table_csv,
 )
 from .losses import KINDS, LossSpec, _exact_g, h_prime_abs, loss_values
-from .simplex import as_distribution, fisher_rao_distance, fisher_rao_from_hellinger, hellinger_distance
+from .noise import alpha_to_eta
+from .simplex import as_distribution, check_num_classes, fisher_rao_distance, fisher_rao_from_hellinger, hellinger_distance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,8 +38,15 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
+def _checked(flag: str, value, check):
+    try:  # check(value), with a ValueError restated to name the flag and the value given
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag} got {value!r}: {exc}") from None
+
+
 def _parse_list(text: str, parse, flag: str, distinct: bool = True) -> list:
-    items = [parse(tok) for tok in text.split(",") if tok.strip()]
+    items = [_checked(flag, tok.strip(), parse) for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"{flag} must list at least one value, got {text!r}")
     if distinct and (repeated := [item for item, count in Counter(items).items() if count > 1]):
@@ -58,23 +66,25 @@ def _progress(line: str) -> None:
 
 def cmd_bounds(args) -> int:
     specs = _parse_list(args.losses, LossSpec.parse, "--losses")
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
-    if args.sweep == "alpha":
+    if args.sweep == "alpha":  # each sweep checks its own flags only
+        _checked("--K", args.K, check_num_classes)
+        _checked("--alpha-max", args.alpha_max, lambda alpha: alpha_to_eta(alpha, args.K))
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         rows = alpha_sweep(specs, args.K, np.linspace(0.0, args.alpha_max, args.points))
-        x_label = "alpha"
     else:
-        rows = class_count_sweep(specs, args.alpha, _parse_list(args.K_grid, int, "--K-grid"))
-        x_label = "number of classes K"
+        class_counts = _parse_list(args.K_grid, lambda k: check_num_classes(int(k)), "--K-grid")
+        _checked("--alpha", args.alpha, lambda alpha: alpha_to_eta(alpha, class_counts[0]))
+        rows = class_count_sweep(specs, args.alpha, class_counts)
     out = args.out or f"bounds_{args.sweep}.csv"
     write_rows(out, SWEEP_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if args.svg:
-        stem = os.path.splitext(out)[0]
+        x_label = "alpha" if args.sweep == "alpha" else "number of classes K"
         by_spec = {spec: [row for row in rows if (row["loss"], row["q"]) == (spec.kind, spec.q)] for spec in specs}
         for col, name in (("A", "upper bound A"), ("B", "lower bound B")):
             series = [_curve(str(spec), spec_rows, args.sweep, col) for spec, spec_rows in by_spec.items()]
-            path = f"{stem}_{col}.svg"
+            path = f"{os.path.splitext(out)[0]}_{col}.svg"
             svgplot.line_plot(path, series, title=f"{name} vs {x_label}", xlabel=x_label, ylabel=col)
             print(f"wrote {path}")
     return EXIT_OK

@@ -122,20 +122,22 @@ def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray):
-    """Yield (layer, weight gradient, bias gradient) from the last layer down.
-
-    delta is d loss / d scores.  A layer is yielded only after the delta for
-    the layer below has been computed from its weights, so the caller may
-    update that layer in place before resuming.
-    """
+def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weight gradient, bias gradient), first layer first; delta is d loss / d scores."""
+    grads = []
     for layer in range(len(model.weights) - 1, -1, -1):
-        gw = np.swapaxes(acts[layer], -1, -2) @ delta
-        gb = delta.sum(axis=-2)
+        grads.append((np.swapaxes(acts[layer], -1, -2) @ delta, delta.sum(axis=-2)))
         if layer > 0:
             delta = delta @ np.swapaxes(model.weights[layer], -1, -2)
             delta *= acts[layer] > 0.0  # max(z, 0) > 0 exactly where z > 0: the ReLU mask
-        yield layer, gw, gb
+    return grads[::-1]
+
+
+def _step(stack: MlpModel, x: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray):
+    """(which members' scores are finite, _backward's gradients) for one step; the loss layer fills stat."""
+    acts = _forward(stack, x)
+    finite = np.isfinite(acts[-1]).all(axis=(1, 2))
+    return finite, _backward(stack, acts, _loss_layer(acts[-1], labels, spec, stat))
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -150,27 +152,22 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     """Backprop on one batch.
 
     Returns (weight gradients, bias gradients, mean batch loss); gradients
-    are means over the batch.  Raises TrainingDiverged on non-finite scores,
-    which softmax would reject.  Finite scores give a finite loss; the
-    gradients are left to train's end-of-epoch parameter check.  This is the
-    one-member case of the step train_lockstep takes.
+    are means over the batch.  Raises TrainingDiverged on non-finite scores.
+    Finite scores give a finite loss; the gradients are left to train's
+    end-of-epoch parameter check.  This is the one-member case of _step,
+    the step train_lockstep takes.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     y = check_labels(check_label_shape(labels, x.shape[0]), model.layer_sizes[-1])
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
-    acts = _forward(stack, x[None])
-    if not np.all(np.isfinite(acts[-1])):
-        raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
     stat = np.empty((1, y.size))
-    with np.errstate(over="ignore"):  # a score range past the float maximum shifts to -inf, and exp(-inf) is 0
-        delta = _loss_layer(acts[-1], y[None], spec, stat)
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
-    for layer, gw, gb in _backward(stack, acts, delta):
-        grad_w[layer], grad_b[layer] = gw[0], gb[0]
-    return grad_w, grad_b, float(_batch_mean_losses(stat, spec, y.size)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in train_lockstep
+        finite, grads = _step(stack, x[None], y[None], spec, stat)
+    if not finite[0]:
+        raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
+    return [gw[0] for gw, _ in grads], [gb[0] for _, gb in grads], float(_batch_mean_losses(stat, spec, y.size)[0, 0])
 
 
 # Rows per evaluation forward pass.  Part of the numeric contract: BLAS may
@@ -255,13 +252,15 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
     stats = np.empty((len(models), n))  # each step's loss statistics, for the epoch's loss
     batch_sizes = np.diff([*range(0, n, batch_size), n])
 
-    def diverge(bad: np.ndarray, epoch: int, message: str) -> None:
-        """Record the bad members as diverged and detach their models; they stay in the stack, masked."""
-        for i in np.flatnonzero(bad):
+    def any_left(finite: np.ndarray, epoch: int, message: str) -> bool:
+        """Diverge the live members that are not finite (detached, masked in the stack); whether any is left."""
+        if finite[alive].all():
+            return True
+        for i in np.flatnonzero(alive & ~finite):
             models[i].weights[:] = [w.copy() for w in models[i].weights]
             models[i].biases[:] = [b.copy() for b in models[i].biases]
             outcomes[i] = TrainingDiverged(message, epoch=epoch, records=outcomes[i])
-        alive[bad] = False
+        return bool(np.logical_and(alive, finite, out=alive).any())
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # diverged members go on with inf and nan
         for epoch in range(1, epochs + 1):
@@ -269,24 +268,18 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
             epoch_labels = np.stack([ds.labels[order] for ds, order in zip(train_sets, orders)])
             for start in range(0, n, batch_size):
                 cols = slice(start, start + batch_size)
-                acts = _forward(stack, features[orders[:, cols]])
-                finite = np.isfinite(acts[-1]).all(axis=(1, 2))
-                if not finite[alive].all():
-                    diverge(alive & ~finite, epoch, "non-finite scores in forward pass")
-                    if not alive.any():
-                        return outcomes
-                delta = _loss_layer(acts[-1], epoch_labels[:, cols], spec, stats[:, cols])
-                for layer, gw, gb in _backward(stack, acts, delta):
-                    stack.weights[layer] -= np.multiply(gw, lr, out=gw)
-                    stack.biases[layer] -= np.multiply(gb, lr[:, 0], out=gb)
-            del acts, delta, gw, gb  # the last step's temporaries, before evaluation allocates its own
-            finite = np.ones(len(models), dtype=bool)
-            for a in (*stack.weights, *stack.biases):
-                finite &= np.isfinite(a).reshape(len(models), -1).all(axis=1)
-            if not finite[alive].all():
-                diverge(alive & ~finite, epoch, "non-finite parameters after update")
-                if not alive.any():
+                finite, grads = _step(stack, features[orders[:, cols]], epoch_labels[:, cols], spec, stats[:, cols])
+                if not any_left(finite, epoch, "non-finite scores in forward pass"):
                     return outcomes
+                for w, b, (gw, gb) in zip(stack.weights, stack.biases, grads):
+                    w -= np.multiply(gw, lr, out=gw)
+                    b -= np.multiply(gb, lr[:, 0], out=gb)
+            # once per epoch: freed at the end of every step, they would make malloc trim and regrow the heap
+            del grads, gw, gb  # the last step's gradients, before evaluation allocates its own
+            finite = np.logical_and.reduce([np.isfinite(a).reshape(len(models), -1).all(axis=1)
+                                            for a in (*stack.weights, *stack.biases)])
+            if not any_left(finite, epoch, "non-finite parameters after update"):
+                return outcomes
             loss_sum = np.zeros(len(models))
             for batch_loss in (_batch_mean_losses(stats, spec, batch_size) * batch_sizes).T:
                 loss_sum += batch_loss  # in step order from +0.0, the bits of a running sum over the steps

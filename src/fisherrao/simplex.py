@@ -60,10 +60,11 @@ def as_scores(s, name: str = "scores") -> NDArray[np.float64]:
     return arr
 
 
-def check_num_classes(num_classes: int) -> None:
-    """Raise ValueError unless K >= 2: the class count of every simplex, loss, bound and noise law."""
+def check_num_classes(num_classes: int) -> int:
+    """Return K, or raise ValueError unless K >= 2: the class count of every simplex, loss, bound and noise law."""
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    return num_classes
 
 
 def check_labels(labels, num_classes: int) -> NDArray[np.int64]:

@@ -14,7 +14,7 @@ from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
 from fisherrao.experiment import (load_datasets, parse_config, read_lr_table, read_per_epoch_csv, summarize_from_csv,
                                   write_summary_csv)
-from fisherrao.losses import FR
+from fisherrao.losses import FR, KINDS
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance
 from test_data import _idx_header, _write_idx_images, _write_idx_labels
 
@@ -563,6 +563,33 @@ def test_repeated_list_entry_is_usage_error(tmp_path, capsys, args, flag, entry)
     assert cli.run([*args, "--out", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err == f"error: {flag} lists {entry!r} more than once; give each entry once\n"
     assert list(tmp_path.iterdir()) == []  # neither the CSV nor an SVG
+
+
+@pytest.mark.parametrize("args,error", [
+    (["bounds", "--sweep", "K", "--K-grid", "2.5"], "--K-grid got '2.5': invalid literal for int() with base 10: '2.5'"),
+    (["bounds", "--sweep", "K", "--K-grid", "1,5"], "--K-grid got '1': num_classes must be >= 2, got 1"),
+    (["distance", "--p", "0.5,abc", "--q", "0.5,0.5"], "--p got 'abc': could not convert string to float: 'abc'"),
+    (["bounds", "--sweep", "alpha", "--alpha-max", "1.5"], "--alpha-max got 1.5: alpha must lie in [0, 1), got 1.5"),
+    (["bounds", "--sweep", "alpha", "--alpha-max", "-0.5"],
+     "--alpha-max got -0.5: alpha must lie in [0, 1), got -0.5"),
+    (["bounds", "--sweep", "alpha", "--K", "1"], "--K got 1: num_classes must be >= 2, got 1"),
+    (["bounds", "--sweep", "K", "--alpha", "1.0"], "--alpha got 1.0: alpha must lie in [0, 1), got 1.0"),
+    (["bounds", "--sweep", "K", "--losses", "fr,foo"],
+     f"--losses got 'foo': unknown loss kind 'foo'; expected one of {KINDS}"),
+], ids=["K_grid_not_int", "K_grid_one_class", "p_not_float", "alpha_max_above", "alpha_max_below", "K", "alpha",
+        "losses"])
+def test_value_error_names_its_flag_and_the_value_given(tmp_path, capsys, monkeypatch, args, error):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(args) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_k_sweep_ignores_points(tmp_path):
+    # --points sizes the alpha grid only, so the K sweep neither checks nor reads it
+    for name, points in (("with.csv", ["--points", "0"]), ("without.csv", [])):
+        assert cli.run(["bounds", "--sweep", "K", "--K-grid", "2,10", *points, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
 
 def test_unknown_subcommand_exits_2():

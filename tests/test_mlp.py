@@ -589,6 +589,31 @@ def test_lockstep_group_matches_reference_loop():
             _assert_same_params(model, ref_model)
 
 
+def test_batch_grad_is_the_lockstep_step_bit_for_bit():
+    # batch_size = n makes the epoch one step, so each member's trained
+    # parameters are W - lr * g with g from batch_grad on its shuffled rows
+    train_ds, _ = generate_synthetic(SyntheticSpec(24, 8, 5, 3, 1.0, seed=6))
+    n = len(train_ds)
+    for i, spec in enumerate(ALL_KINDS):
+        members = []
+        for j, lr in enumerate((0.05, 0.3, 0.1)):
+            ds = train_ds.with_labels(corrupt_labels(train_ds.labels, NoiseSpec(0.4, 10 * i + j, 3)))
+            config = MlpConfig((5, 6, 4, 3), spec, lr, n, 1, seed=i + 10 * j)
+            members.append((init_model(config), ds, config))
+        expected = []
+        for model, ds, config in members:
+            order = make_rng(config.seed, STREAM_SHUFFLE).permutation(n)
+            grad_w, grad_b, _ = batch_grad(model, ds.features[order], ds.labels[order], spec)
+            expected.append(MlpModel([w - config.learning_rate * g for w, g in zip(model.weights, grad_w)],
+                                     [b - config.learning_rate * g for b, g in zip(model.biases, grad_b)]))
+        models, sets, configs = (list(col) for col in zip(*members))
+        outcomes = train_lockstep(models, sets, configs, _recorder(None, 1, True))
+        assert not any(isinstance(out, TrainingDiverged) for out in outcomes)
+        for model, want in zip(models, expected):
+            for got, ref in zip(model.weights + model.biases, want.weights + want.biases):
+                assert np.array_equal(got, ref)
+
+
 def test_lockstep_epoch_of_zero_losses_records_positive_zero():
     # a score margin of 2000 makes every t exactly 1, so every row's CE loss
     # -log(1) is -0.0 and no gradient moves the model; the epoch's loss is
