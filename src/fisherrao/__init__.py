@@ -6,6 +6,9 @@ model, Table-style robustness bounds A(K, eta) / B(K, eta), a small
 from-scratch MLP + SGD harness, and an experiment runner with CSV output.
 """
 
+from types import ModuleType as _ModuleType
+
+# The imports below are the package's API: __all__ is every public name they bind.
 from .bounds import BoundResult, bound_A, bound_B, bounds
 from .data import (
     DataFormatError,
@@ -65,60 +68,5 @@ from .simplex import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "CE",
-    "CLAMP_EPS",
-    "DataFormatError",
-    "FR",
-    "HELLINGER",
-    "KINDS",
-    "LabeledDataset",
-    "LossSpec",
-    "MAE",
-    "MSE",
-    "MlpConfig",
-    "MlpModel",
-    "NoiseSpec",
-    "SyntheticSpec",
-    "TrainRecord",
-    "TrainingDiverged",
-    "alpha_to_eta",
-    "as_distribution",
-    "as_scores",
-    "batch_grad",
-    "bound_A",
-    "bound_B",
-    "bounds",
-    "corrupt_labels",
-    "derive_seed",
-    "eta_to_alpha",
-    "evaluate",
-    "fisher_rao_distance",
-    "fisher_rao_from_hellinger",
-    "forward",
-    "fr_critical_value",
-    "fr_sum_bounds",
-    "generate_synthetic",
-    "h_prime_abs",
-    "hellinger_distance",
-    "init_model",
-    "load_csv",
-    "load_mnist",
-    "load_model",
-    "loss_gradient_scores",
-    "loss_sum_over_classes",
-    "loss_value",
-    "loss_values",
-    "make_rng",
-    "one_hot",
-    "q_logarithm",
-    "qce",
-    "sample_simplex",
-    "save_csv",
-    "save_model",
-    "score_gradients",
-    "softmax",
-    "sphere_embed",
-    "train",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -174,9 +174,8 @@ def load_datasets(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset]
     if spec.train_limit is not None and spec.train_limit < len(train_ds):
         train_ds = train_ds.take(spec.train_limit)
     if train_ds.num_features != test_ds.num_features:
-        raise DataFormatError(
-            f"train has {train_ds.num_features} features but test has {test_ds.num_features}"
-        )
+        raise DataFormatError(f"{test_ds.num_features} features, but the training set has {train_ds.num_features}",
+                              path=spec.test_images if spec.dataset == "mnist" else spec.test_csv)
     return train_ds, test_ds
 
 
@@ -388,6 +387,8 @@ def run_sweep(
 def make_lr_lookup(spec: ExperimentSpec):
     """Learning-rate source for a sweep: lr_file table if set, else fixed lr."""
     if spec.lr_file is not None:
+        if spec.lr is not None:
+            raise ValueError(f"config gives both lr = {_exact_g(spec.lr)} and lr_file = {spec.lr_file}; give one")
         table = read_lr_table(spec.lr_file)
 
         def from_table(loss: LossSpec, eta: float) -> float:

@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -188,7 +190,8 @@ _SYNTHETIC_KEYS = ("n_train", "n_test", "features", "classes", "class_sep", "dat
 
 
 def _write_config(path, **over):
-    """A small synthetic sweep's config with the given keys changed; another dataset keeps only given synthetic keys."""
+    """A small synthetic sweep's config with the given keys changed, and a key given as None left out; another
+    dataset keeps only given synthetic keys."""
     base = {
         "dataset": "synthetic",
         "losses": "ce,fr",
@@ -208,7 +211,7 @@ def _write_config(path, **over):
     base.update(over)
     if base["dataset"] != "synthetic":
         base = {k: v for k, v in base.items() if k not in _SYNTHETIC_KEYS or k in over}
-    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items() if v is not None))
     return path
 
 
@@ -512,7 +515,7 @@ def test_bad_run_setting_fails_before_training(tmp_path, capsys, command, over, 
 
 def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
     table = tmp_path / "lr.csv"
-    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr_file=str(table))
+    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr=None, lr_file=str(table))
     for rows, message in (
         ("ce,,0.0,0.1,0.9,0\nce,,0.0,abc,0.9,1", "could not convert string to float: 'abc'"),
         ("ce,,0.0,0.1,0.9,0\nce,,0.0,-0.1,0.9,1", "lr must be finite and >= 0, got -0.1"),
@@ -526,6 +529,15 @@ def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):
         assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")]) == 3
         err = capsys.readouterr().err
         assert "line 3" in err and message in err
+
+
+def test_train_config_with_both_lr_and_lr_file_is_usage_error(tmp_path, capsys):
+    table = tmp_path / "lr.csv"
+    table.write_text("loss,q,eta,lr,final_test_acc,selected\nce,,0.0,0.3,0.9,1\n")
+    cfg = _write_config(tmp_path / "exp.cfg", losses="ce", etas="0.0", lr_file=str(table))
+    assert cli.run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: config gives both lr = 0.1 and lr_file = {table}; give one\n"
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------------- usage
@@ -620,3 +632,19 @@ def test_package_all_is_its_public_names_that_are_not_modules():
     public = [name for name, value in vars(fisherrao).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(fisherrao.__all__) == sorted(public)
+
+
+def test_package_all_is_defined_by_the_package_own_modules():
+    """__all__ is what __init__.py imports, so a stray import there (``from typing import Final``) would be exported:
+    every name must be a def, a class or a top-level assignment of another module in the package."""
+    defined = set()
+    for path in pathlib.Path(fisherrao.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    stray = [name for name in fisherrao.__all__ if name not in defined]
+    assert not stray, stray

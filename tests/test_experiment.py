@@ -39,6 +39,7 @@ from fisherrao.losses import CE, FR, MAE, LossSpec, qce
 from fisherrao.mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
 from fisherrao.noise import NoiseSpec, corrupt_labels
 from fisherrao.rng import derive_seed
+from test_data import _write_idx_images, _write_idx_labels
 
 
 def _blobs(n_train=40, n_test=20, sep=2.5, seed=11):
@@ -204,8 +205,18 @@ def test_load_datasets_feature_mismatch(tmp_path):
     save_csv(LabeledDataset(rng.normal(size=(8, 3)), [0, 1] * 4, 2), tmp_path / "train.csv")
     save_csv(LabeledDataset(rng.normal(size=(8, 4)), [0, 1] * 4, 2), tmp_path / "test.csv")
     spec = _tiny_spec(dataset="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv"))
-    with pytest.raises(DataFormatError, match="features"):
+    with pytest.raises(DataFormatError, match="4 features, but the training set has 3") as exc:
         load_datasets(spec)
+    assert exc.value.path == spec.test_csv
+    files = {f"{split}_{kind}": str(tmp_path / f"{split}_{kind}") for split in ("train", "test")
+             for kind in ("images", "labels")}
+    for split, side in (("train", 2), ("test", 3)):  # 4 and 9 features
+        _write_idx_images(tmp_path / f"{split}_images", rng.integers(0, 256, (4, side, side)).tolist())
+        _write_idx_labels(tmp_path / f"{split}_labels", [0, 1, 2, 3])
+    spec = _tiny_spec(dataset="mnist", **files)
+    with pytest.raises(DataFormatError, match="9 features, but the training set has 4") as exc:
+        load_datasets(spec)
+    assert exc.value.path == spec.test_images
 
 
 # ----------------------------------------------------------------- run_cell
