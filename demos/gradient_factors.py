@@ -45,7 +45,7 @@ def equal_width_q(k):
 def table(title, fn):
     ts = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999])
     print(title)
-    print(f"{'t':>10} " + " ".join(f"{s.label:>10}" for s in H_FORM))
+    print(f"{'t':>10} " + " ".join(f"{str(s):>10}" for s in H_FORM))
     for t in ts:
         print(f"{t:>10.3f} " + " ".join(f"{fn(s, t):>10.4f}" for s in H_FORM))
     print()
@@ -80,7 +80,7 @@ def main():
     print()
 
     ts = np.linspace(1e-4, 1.0, 400)
-    labeled = [(s.label, s) for s in H_FORM] + [(f"qce:q*={q_star:.4f}", qce(q_star))]
+    labeled = [(str(s), s) for s in H_FORM] + [(f"qce:q*={q_star:.4f}", qce(q_star))]
     series = [(label, list(ts), list(h_prime_abs(s, ts) * ts)) for label, s in labeled]
     path = OUT / "gradient_factor_vs_t.svg"
     line_plot(path, series, title="score-gradient factor |h'(t)| t",

@@ -78,7 +78,7 @@ def main():
         for eta in SPEC.etas:
             row = next(r for r in summary if r["loss"] == loss.kind and r["eta"] == eta)
             cells.append(f"{row['mean_test_acc']:.4f} ({row['std_test_acc']:.4f})")
-        print(f"{loss.label:>10} " + " ".join(c.rjust(16) for c in cells))
+        print(f"{str(loss):>10} " + " ".join(c.rjust(16) for c in cells))
     print()
 
     acc = {(r["loss"], r["eta"]): r["mean_test_acc"] for r in summary}
@@ -94,7 +94,7 @@ def main():
                      and run[-1]["train_loss"] is not None]
         curves = np.array([[row["test_acc"] for row in run] for run in completed])
         mean = curves.mean(axis=0)
-        series.append((loss.label, list(range(1, SPEC.epochs + 1)), list(mean)))
+        series.append((str(loss), list(range(1, SPEC.epochs + 1)), list(mean)))
     path = OUT / "test_acc_eta05.svg"
     line_plot(path, series, title="test accuracy per epoch, eta = 0.5",
               xlabel="epoch", ylabel="test accuracy")

@@ -36,7 +36,7 @@ def main():
     print("Bounds at a fixed fraction alpha = 0.5 of the tolerable noise")
     print("(eta = 0.5 (K-1)/K, i.e. half-way to the regime boundary)")
     print()
-    header = f"{'K':>5} {'eta':>6} " + " ".join(f"{s.label:>10}" for s in LOSSES)
+    header = f"{'K':>5} {'eta':>6} " + " ".join(f"{str(s):>10}" for s in LOSSES)
     for which in ("A", "B"):
         print(f"{which}(K, eta):")
         print(header)
@@ -67,7 +67,7 @@ def main():
         if spec.kind == "ce":
             continue
         pts = [(r["alpha"], r["A"]) for r in rows if r["loss"] == spec.kind and r["q"] == spec.q]
-        series.append((spec.label, [p[0] for p in pts], [p[1] for p in pts]))
+        series.append((str(spec), [p[0] for p in pts], [p[1] for p in pts]))
     path = OUT / "bound_A_vs_alpha_K10.svg"
     line_plot(path, series, title="A(K=10, eta) vs alpha = eta K/(K-1)",
               xlabel="alpha", ylabel="A")
@@ -83,7 +83,7 @@ def main():
         if spec.kind == "ce":
             continue
         pts = [(np.log10(r["K"]), r["A"]) for r in rows if r["loss"] == spec.kind and r["q"] == spec.q]
-        series.append((spec.label, [p[0] for p in pts], [p[1] for p in pts]))
+        series.append((str(spec), [p[0] for p in pts], [p[1] for p in pts]))
     path = OUT / "bound_A_vs_K_alpha08.svg"
     line_plot(path, series, title="A(K, eta) vs K at alpha = 0.8",
               xlabel="log10 K", ylabel="A")

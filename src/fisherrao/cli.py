@@ -10,6 +10,7 @@ training run diverged (and nothing else failed).
 """
 
 import argparse
+import errno
 import os
 import sys
 from collections import Counter
@@ -24,9 +25,12 @@ from .experiment import (
     grid_search_lr,
     load_datasets,
     parse_config,
-    run_experiment,
     run_id,
+    run_sweep,
+    summarize,
     write_lr_table_csv,
+    write_per_epoch_csv,
+    write_summary_csv,
 )
 from .losses import KINDS, LossSpec, _exact_g, h_prime_abs, loss_values
 from .noise import alpha_to_eta
@@ -64,6 +68,15 @@ def _progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
+def _refuse_blocked_dir(out_dir: str) -> None:
+    """Raise NotADirectoryError, creating nothing, if the nearest existing path at or above out_dir is not a directory."""
+    existing = out_dir
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
+
+
 def cmd_bounds(args) -> int:
     specs = _parse_list(args.losses, LossSpec.parse, "--losses")
     if args.sweep == "alpha":  # each sweep checks its own flags only
@@ -93,9 +106,15 @@ def cmd_bounds(args) -> int:
 def cmd_train(args) -> int:
     spec = parse_config(args.config)
     out_dir = args.out_dir if args.out_dir else spec.out_dir
-    runs, summary = run_experiment(spec, out_dir=out_dir, progress=_progress)
-    print(f"wrote {os.path.join(out_dir, 'runs.csv')}")
-    print(f"wrote {os.path.join(out_dir, 'summary.csv')}")
+    _refuse_blocked_dir(out_dir)
+    train_ds, test_ds = load_datasets(spec)
+    runs = run_sweep(train_ds, test_ds, spec, progress=_progress)
+    os.makedirs(out_dir, exist_ok=True)
+    runs_csv, summary_csv = os.path.join(out_dir, "runs.csv"), os.path.join(out_dir, "summary.csv")
+    write_per_epoch_csv(runs_csv, runs)
+    summary = summarize(runs)
+    write_summary_csv(summary_csv, summary)
+    print(f"wrote {runs_csv}\nwrote {summary_csv}")
     print(f"{'loss':<12} {'eta':>5} {'mean_test_acc':>14} {'std':>8} {'n':>3}")
     for row in summary:
         label = str(LossSpec(row["loss"], row["q"]))
@@ -119,9 +138,12 @@ def cmd_train(args) -> int:
 
 def cmd_grid_lr(args) -> int:
     spec = parse_config(args.config)
+    out = args.out if args.out else os.path.join(spec.out_dir, "lr_selection.csv")
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    _refuse_blocked_dir(os.path.dirname(out))
     train_ds, test_ds = load_datasets(spec)
     rows = grid_search_lr(train_ds, test_ds, spec, progress=_progress)
-    out = args.out if args.out else os.path.join(spec.out_dir, "lr_selection.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_lr_table_csv(out, rows)
     print(f"wrote {out}")

@@ -532,14 +532,3 @@ def summarize_from_csv(path) -> list[dict]:
         raise DataFormatError("no data rows", path=path, line=1)
     return _summary(rows)
 
-
-def run_experiment(spec: ExperimentSpec, out_dir=None, progress=None) -> tuple[list[list[dict]], list[dict]]:
-    """Load data, run the sweep, write runs.csv and summary.csv under out_dir; each run's rows and the summary."""
-    out = spec.out_dir if out_dir is None else out_dir
-    train_ds, test_ds = load_datasets(spec)
-    runs = run_sweep(train_ds, test_ds, spec, progress=progress)
-    os.makedirs(out, exist_ok=True)
-    write_per_epoch_csv(os.path.join(out, "runs.csv"), runs)
-    summary = summarize(runs)
-    write_summary_csv(os.path.join(out, "summary.csv"), summary)
-    return runs, summary

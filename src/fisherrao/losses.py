@@ -92,8 +92,6 @@ def _fr_width(k, q):
 
 
 def _qce_width(k, q):
-    if q == 0.0:
-        return 0.0  # MAE row
     if q == 1.0:
         return None  # CE row
     return (k**q - 1.0) / (1.0 - q)
@@ -163,10 +161,6 @@ class LossSpec:
                 raise ValueError(f"bad q value {qs!r} in {text!r}") from None
             return cls("qce", q)
         return cls(text)
-
-    @property
-    def label(self) -> str:
-        return f"qce(q={self.q:g})" if self.kind == "qce" else self.kind
 
     def __str__(self) -> str:
         return f"qce:{_exact_g(self.q)}" if self.kind == "qce" else self.kind

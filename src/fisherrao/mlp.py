@@ -315,11 +315,13 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """The model of a save_model checkpoint, which must hold exactly the w{i}, b{i} arrays its layer_sizes name."""
     with np.load(path) as z:
-        sizes = tuple(int(s) for s in z["layer_sizes"])
-        weights = [np.array(z[f"w{i}"], dtype=np.float64) for i in range(len(sizes) - 1)]
-        biases = [np.array(z[f"b{i}"], dtype=np.float64) for i in range(len(sizes) - 1)]
-    model = MlpModel(weights, biases)
-    if model.layer_sizes != sizes:
+        arrays = {name: z[name] for name in z.files}
+    sizes = tuple(int(s) for s in arrays.pop("layer_sizes"))
+    layers = range(len(sizes) - 1)
+    shapes = {**{f"w{i}": sizes[i:i + 2] for i in layers}, **{f"b{i}": sizes[i + 1:i + 2] for i in layers}}
+    if not layers or {name: a.shape for name, a in arrays.items()} != shapes:
         raise ValueError(f"checkpoint arrays inconsistent with layer_sizes {sizes}")
-    return model
+    return MlpModel([np.array(arrays[f"w{i}"], dtype=np.float64) for i in layers],
+                    [np.array(arrays[f"b{i}"], dtype=np.float64) for i in layers])

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
+from fisherrao import cli
 from fisherrao.bounds import bound_A, bound_B
 from fisherrao.data import SyntheticSpec, generate_synthetic, load_mnist
 from fisherrao.experiment import (
     ExperimentSpec,
     grid_search_lr,
-    run_experiment,
     run_sweep,
     summarize,
 )
@@ -382,24 +382,13 @@ def test_criterion_8_mnist_noise_experiment():
 
 
 def test_criterion_9_bit_identical_reruns(tmp_path):
-    spec = ExperimentSpec(
-        dataset="synthetic",
-        losses=(CE, FR),
-        etas=(0.0, 0.3),
-        seeds=(0, 1),
-        hidden=(8,),
-        batch_size=16,
-        epochs=3,
-        lr=0.1,
-        n_train=400,
-        n_test=100,
-        features=10,
-        classes=3,
-        class_sep=1.0,
-        data_seed=4,
-    )
-    run_experiment(spec, out_dir=str(tmp_path / "a"))
-    run_experiment(spec, out_dir=str(tmp_path / "b"))
+    # the command users run: fisherrao train, twice on one config
+    config = tmp_path / "exp.cfg"
+    config.write_text("dataset = synthetic\nlosses = ce,fr\netas = 0.0,0.3\nseeds = 0,1\nhidden = 8\nbatch_size = 16\n"
+                      "epochs = 3\nlr = 0.1\nn_train = 400\nn_test = 100\nfeatures = 10\nclasses = 3\n"
+                      "class_sep = 1.0\ndata_seed = 4\n")
+    for out in ("a", "b"):
+        assert cli.run(["train", "--config", str(config), "--out-dir", str(tmp_path / out)]) == 0
     runs_a = (tmp_path / "a" / "runs.csv").read_bytes()
     runs_b = (tmp_path / "b" / "runs.csv").read_bytes()
     assert runs_a == runs_b

@@ -71,6 +71,8 @@ def test_mae_rows_exactly_zero():
             assert bound_A(MAE, k, eta) == 0.0
             assert bound_B(MAE, k, eta) == 0.0
             assert bound_A(qce(0.0), k, eta) == 0.0
+            mae = struct.pack("<dd", bound_A(MAE, k, eta), bound_B(MAE, k, eta))
+            assert struct.pack("<dd", bound_A(qce(0.0), k, eta), bound_B(qce(0.0), k, eta)) == mae  # sign included
 
 
 def test_mse_a_row_exactly_eta():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fisherrao
-from fisherrao import cli, experiment
+from fisherrao import cli
 from fisherrao.bounds import bounds as bound_pair
 from fisherrao.data import LabeledDataset, load_csv, save_csv
 from fisherrao.experiment import (load_datasets, parse_config, read_lr_table, read_per_epoch_csv, summarize_from_csv,
@@ -95,7 +95,7 @@ def test_bounds_alpha_near_one_stays_below_the_limit(tmp_path):
 
 
 @pytest.mark.parametrize("command, module, name", [(["bounds", "--sweep", "alpha", "--out"], cli, "alpha_sweep"),
-                                                   (["train", "--out-dir"], experiment, "load_datasets"),
+                                                   (["train", "--out-dir"], cli, "load_datasets"),
                                                    (["grid-lr", "--out"], cli, "load_datasets")])
 def test_an_array_too_large_for_memory_is_data_error(tmp_path, capsys, monkeypatch, command, module, name):
     # numpy's message where memory runs out, as for a huge hidden width or --points; nothing large is allocated
@@ -511,6 +511,23 @@ def test_bad_run_setting_fails_before_training(tmp_path, capsys, command, over, 
     (line,) = capsys.readouterr().err.splitlines()  # the error alone, no progress line
     assert line.startswith("error: ") and message in line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, out, blocker, message", [
+    ("train", "--out-dir", "file", "file", "[Errno 20] Not a directory"),
+    ("train", "--out-dir", "file/runs", "file", "[Errno 20] Not a directory"),
+    ("grid-lr", "--out", "dir", "dir", "[Errno 21] Is a directory"),
+    ("grid-lr", "--out", "file/sub/lr.csv", "file", "[Errno 20] Not a directory"),
+], ids=["train-file", "train-under_file", "grid_lr-dir", "grid_lr-under_file"])
+def test_blocked_output_location_fails_before_training(tmp_path, capsys, command, flag, out, blocker, message):
+    # an output path that cannot be written is found before the data load, and nothing is created
+    (tmp_path / "file").write_bytes(b"kept")
+    (tmp_path / "dir").mkdir()
+    cfg = _write_config(tmp_path / "exp.cfg", lr_grid="0.1")
+    assert cli.run([command, "--config", str(cfg), flag, str(tmp_path / out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}: {str(tmp_path / blocker)!r}\n" and captured.out == ""
+    assert (tmp_path / "file").read_bytes() == b"kept" and list((tmp_path / "dir").iterdir()) == []
 
 
 def test_train_corrupt_lr_file_is_data_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fisherrao import experiment
+from fisherrao import cli, experiment
 from fisherrao.data import DataFormatError, LabeledDataset, SyntheticSpec, generate_synthetic, save_csv
 from fisherrao.experiment import (
     PER_EPOCH_COLUMNS,
@@ -26,7 +26,6 @@ from fisherrao.experiment import (
     read_lr_table,
     read_per_epoch_csv,
     run_cell,
-    run_experiment,
     run_id,
     run_sweep,
     summarize,
@@ -39,6 +38,7 @@ from fisherrao.losses import CE, FR, MAE, LossSpec, qce
 from fisherrao.mlp import MlpConfig, TrainingDiverged, TrainRecord, init_model, train, train_lockstep
 from fisherrao.noise import NoiseSpec, corrupt_labels
 from fisherrao.rng import derive_seed
+from test_cli import _write_config
 from test_data import _write_idx_images, _write_idx_labels
 
 
@@ -402,11 +402,11 @@ def pools(monkeypatch):
 
 
 def test_pooled_sweep_writes_the_bytes_of_one_worker(tmp_path, pools, monkeypatch):
-    spec = _tiny_spec(losses=(CE, FR, MAE), seeds=(0, 1, 2))  # three groups
-    run_experiment(spec, out_dir=tmp_path / "pool")
+    config = str(_write_config(tmp_path / "exp.cfg", losses="ce,fr,mae", seeds="0,1,2"))  # three groups
+    assert cli.run(["train", "--config", config, "--out-dir", str(tmp_path / "pool")]) == 0
     assert pools == [2]
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
-    run_experiment(spec, out_dir=tmp_path / "alone")
+    assert cli.run(["train", "--config", config, "--out-dir", str(tmp_path / "alone")]) == 0
     assert pools == [2]
     for name in ("runs.csv", "summary.csv"):
         assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
@@ -813,12 +813,14 @@ def test_read_lr_table_rejects_bad_header(tmp_path):
 
 
 def test_run_experiment_writes_files_and_reruns_identically(tmp_path):
-    spec = _tiny_spec(losses=(CE, qce(0.7)), etas=(0.3,), seeds=(0, 1))
+    config = str(_write_config(tmp_path / "exp.cfg", losses="ce,qce:0.7", etas="0.3"))
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    runs, summary = run_experiment(spec, out_dir=str(out1))
+    assert cli.run(["train", "--config", config, "--out-dir", str(out1)]) == 0
+    runs = {row["run_id"] for row in read_per_epoch_csv(out1 / "runs.csv")}
+    summary = (out1 / "summary.csv").read_text().splitlines()[1:]
     assert len(runs) == 4 and len(summary) == 2
-    run_experiment(spec, out_dir=str(out2))
+    assert cli.run(["train", "--config", config, "--out-dir", str(out2)]) == 0
     assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     header = (out1 / "summary.csv").read_text().splitlines()[0]

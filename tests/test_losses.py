@@ -40,8 +40,6 @@ def test_spec_parse_and_label():
     assert LossSpec.parse(" CE ") == CE
     assert LossSpec.parse("qce:0.7") == qce(0.7)
     assert str(qce(0.7)) == "qce:0.7"
-    assert qce(0.25).label == "qce(q=0.25)"
-    assert FR.label == "fr"
 
 
 @pytest.mark.parametrize("bad", ["qce", "qce:", "qce:abc", "qce:1.5", "qce:-0.1", "huber", ""])

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -437,12 +438,20 @@ def test_checkpoint_round_trip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.npz"]
 
 
-def test_checkpoint_whose_arrays_disagree_with_its_layer_sizes_is_rejected(tmp_path):
+@pytest.mark.parametrize("sizes, changed", [
+    ((5, 6, 3), {}),
+    ((5, 4), {}),  # w1 and b1 beyond the layers named
+    ((5, 4, 3), {"b0": np.zeros(7)}),
+    ((5, 4, 3), {"w0": np.zeros((5, 4, 1))}),
+    ((5, 4, 3), {"w1": None}),  # left out
+], ids=["hidden_size", "extra_layer", "long_bias", "3d_weight", "missing_w1"])
+def test_checkpoint_whose_arrays_disagree_with_its_layer_sizes_is_rejected(tmp_path, sizes, changed):
     model = init_model(_config(layers=(5, 4, 3)))
+    arrays = {"layer_sizes": np.array(sizes), "w0": model.weights[0], "b0": model.biases[0], "w1": model.weights[1],
+              "b1": model.biases[1], **changed}
     path = tmp_path / "model.npz"
-    np.savez(path, layer_sizes=np.array([5, 6, 3]), w0=model.weights[0], b0=model.biases[0], w1=model.weights[1],
-             b1=model.biases[1])
-    with pytest.raises(ValueError, match=r"checkpoint arrays inconsistent with layer_sizes \(5, 6, 3\)"):
+    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint arrays inconsistent with layer_sizes {sizes}")):
         load_model(path)
 
 
