@@ -55,8 +55,8 @@ class MlpConfig:
 class MlpModel:
     """Per-layer weights (fan_in, fan_out) and biases (fan_out,).
 
-    Inside train_lockstep a model of R members stacks them as
-    (R, fan_in, fan_out) and (R, fan_out).
+    Inside train_lockstep a model of R members holds views (R, fan_in,
+    fan_out) and (R, fan_out) of an (R, P) buffer, one member per row.
     """
 
     weights: list[NDArray[np.float64]]
@@ -122,22 +122,28 @@ def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (weight gradient, bias gradient), first layer first; delta is d loss / d scores."""
-    grads = []
+def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weights, biases): views of buf, (P,) for one model or (R, P) for R, each row laid out w0 b0 w1 b1 ..."""
+    parts = np.split(buf, np.cumsum([n for a, b in zip(sizes, sizes[1:]) for n in (a * b, b)])[:-1], axis=-1)
+    return [w.reshape(*buf.shape[:-1], -1, fan_out) for w, fan_out in zip(parts[::2], sizes[1:])], parts[1::2]
+
+
+def _backward(model: MlpModel, acts: list[np.ndarray], delta: np.ndarray, grad: MlpModel) -> None:
+    """Write each layer's weight and bias gradients into grad's views of a buffer; delta is d loss / d scores."""
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads.append((np.swapaxes(acts[layer], -1, -2) @ delta, delta.sum(axis=-2)))
+        np.matmul(np.swapaxes(acts[layer], -1, -2), delta, out=grad.weights[layer])
+        delta.sum(axis=-2, out=grad.biases[layer])
         if layer > 0:
             delta = delta @ np.swapaxes(model.weights[layer], -1, -2)
             delta *= acts[layer] > 0.0  # max(z, 0) > 0 exactly where z > 0: the ReLU mask
-    return grads[::-1]
 
 
-def _step(stack: MlpModel, x: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray):
-    """(which members' scores are finite, _backward's gradients) for one step; the loss layer fills stat."""
+def _step(stack: MlpModel, grad: MlpModel, x: np.ndarray, labels: np.ndarray, spec: LossSpec, stat: np.ndarray):
+    """Which members' scores are finite; _backward writes the step's gradients into grad, the loss layer fills stat."""
     acts = _forward(stack, x)
     finite = np.isfinite(acts[-1]).all(axis=(1, 2))
-    return finite, _backward(stack, acts, _loss_layer(acts[-1], labels, spec, stat))
+    _backward(stack, acts, _loss_layer(acts[-1], labels, spec, stat), grad)
+    return finite
 
 
 def forward(model: MlpModel, x) -> NDArray[np.float64]:
@@ -152,22 +158,22 @@ def batch_grad(model: MlpModel, features, labels, spec: LossSpec):
     """Backprop on one batch.
 
     Returns (weight gradients, bias gradients, mean batch loss); gradients
-    are means over the batch.  Raises TrainingDiverged on non-finite scores.
-    Finite scores give a finite loss; the gradients are left to train's
-    end-of-epoch parameter check.  This is the one-member case of _step,
-    the step train_lockstep takes.
+    are means over the batch, views of one gradient buffer (see _layers).
+    Raises TrainingDiverged on non-finite scores; finite scores give a finite
+    loss, and the gradients are left to train's end-of-epoch parameter check.
+    This is the one-member case of _step, the step train_lockstep takes.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     y = check_labels(check_label_shape(labels, x.shape[0]), model.layer_sizes[-1])
     stack = MlpModel([w[None] for w in model.weights], [b[None] for b in model.biases])
-    stat = np.empty((1, y.size))
+    grads, stat = np.empty((1, sum(a.size for a in stack.weights + stack.biases))), np.empty((1, y.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in train_lockstep
-        finite, grads = _step(stack, x[None], y[None], spec, stat)
+        finite = _step(stack, MlpModel(*_layers(grads, model.layer_sizes)), x[None], y[None], spec, stat)
     if not finite[0]:
         raise TrainingDiverged("non-finite scores in forward pass", epoch=0, records=[])
-    return [gw[0] for gw, _ in grads], [gb[0] for _, gb in grads], float(_batch_mean_losses(stat, spec, y.size)[0, 0])
+    return (*_layers(grads[0], model.layer_sizes), float(_batch_mean_losses(stat, spec, y.size)[0, 0]))
 
 
 # Rows per evaluation forward pass.  Part of the numeric contract: BLAS may
@@ -210,10 +216,10 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
     Member i trains models[i] on train_sets[i] under configs[i] exactly as it
     would alone: own init, shuffle stream, labels and learning rate.  The
     members share the feature matrix (datasets made by with_labels), the
-    layer sizes, batch size, epoch count and loss.  Their parameters are stacked,
-    so each layer takes one matmul forward and one backward, the loss layer
-    runs once per step and the loss values once per epoch; each model's
-    arrays become views of the stack, so they hold the trained values on return.
+    layer sizes, batch size, epoch count and loss.  Parameters and gradients
+    live in two (R, P) buffers (see _layers), whose stacked views take one
+    matmul per layer each way and the loss layer once per step; each model's
+    arrays become views of its row, so they hold the trained values on return.
 
     Each epoch draws a fresh seeded permutation per member, walks it in
     batch_size slices (final partial batch included) and applies
@@ -224,7 +230,7 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
     when lr > 0 and nan when lr = 0, so w - lr * g is not finite either, and
     a parameter that is not finite stays so.  A diverged member gets a
     TrainingDiverged with that epoch and its completed records, and its model
-    a copy of its parameters then; it stays in the stack, masked, and the
+    a copy of its parameter row then; it stays in the buffers, masked, and the
     others go on unchanged to the bit, as every stacked operation works per
     member.  At the end of each epoch a live member i records
     record(epoch, models[i], train_sets[i], mean train loss of the epoch).
@@ -239,26 +245,25 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
                              f"and data (m={ds.num_features}, K={ds.num_classes})")
         if (c.layer_sizes, c.batch_size, c.epochs, c.loss) != shared or ds.features is not features:
             raise ValueError("lockstep members must share layer_sizes, batch_size, epochs, loss and the feature matrix")
-    n, (_, batch_size, epochs, spec) = len(features), shared
+    n, (sizes, batch_size, epochs, spec) = len(features), shared
     outcomes: list = [[] for _ in models]
     alive = np.ones(len(models), dtype=bool)
-    stack = MlpModel([np.stack(ws) for ws in zip(*(m.weights for m in models))],
-                     [np.stack(bs) for bs in zip(*(m.biases for m in models))])
-    for pos, model in enumerate(models):
-        model.weights[:] = [w[pos] for w in stack.weights]
-        model.biases[:] = [b[pos] for b in stack.biases]
-    lr = np.array([c.learning_rate for c in configs])[:, None, None]
+    params = np.array([np.concatenate([a.ravel() for wb in zip(m.weights, m.biases) for a in wb]) for m in models])
+    grads = np.empty_like(params)
+    stack, grad = MlpModel(*_layers(params, sizes)), MlpModel(*_layers(grads, sizes))
+    for model, row in zip(models, params):
+        model.weights[:], model.biases[:] = _layers(row, sizes)
+    lr = np.array([c.learning_rate for c in configs])[:, None]
     shuffles = [make_rng(c.seed, STREAM_SHUFFLE) for c in configs]
     stats = np.empty((len(models), n))  # each step's loss statistics, for the epoch's loss
     batch_sizes = np.diff([*range(0, n, batch_size), n])
 
     def any_left(finite: np.ndarray, epoch: int, message: str) -> bool:
-        """Diverge the live members that are not finite (detached, masked in the stack); whether any is left."""
+        """Diverge the live members that are not finite (detached, masked in the buffers); whether any is left."""
         if finite[alive].all():
             return True
         for i in np.flatnonzero(alive & ~finite):
-            models[i].weights[:] = [w.copy() for w in models[i].weights]
-            models[i].biases[:] = [b.copy() for b in models[i].biases]
+            models[i].weights[:], models[i].biases[:] = _layers(params[i].copy(), sizes)
             outcomes[i] = TrainingDiverged(message, epoch=epoch, records=outcomes[i])
         return bool(np.logical_and(alive, finite, out=alive).any())
 
@@ -268,17 +273,11 @@ def train_lockstep(models: list[MlpModel], train_sets: list[LabeledDataset], con
             epoch_labels = np.stack([ds.labels[order] for ds, order in zip(train_sets, orders)])
             for start in range(0, n, batch_size):
                 cols = slice(start, start + batch_size)
-                finite, grads = _step(stack, features[orders[:, cols]], epoch_labels[:, cols], spec, stats[:, cols])
+                finite = _step(stack, grad, features[orders[:, cols]], epoch_labels[:, cols], spec, stats[:, cols])
                 if not any_left(finite, epoch, "non-finite scores in forward pass"):
                     return outcomes
-                for w, b, (gw, gb) in zip(stack.weights, stack.biases, grads):
-                    w -= np.multiply(gw, lr, out=gw)
-                    b -= np.multiply(gb, lr[:, 0], out=gb)
-            # once per epoch: freed at the end of every step, they would make malloc trim and regrow the heap
-            del grads, gw, gb  # the last step's gradients, before evaluation allocates its own
-            finite = np.logical_and.reduce([np.isfinite(a).reshape(len(models), -1).all(axis=1)
-                                            for a in (*stack.weights, *stack.biases)])
-            if not any_left(finite, epoch, "non-finite parameters after update"):
+                params -= np.multiply(grads, lr, out=grads)
+            if not any_left(np.isfinite(params).all(axis=1), epoch, "non-finite parameters after update"):
                 return outcomes
             loss_sum = np.zeros(len(models))
             for batch_loss in (_batch_mean_losses(stats, spec, batch_size) * batch_sizes).T:
@@ -308,18 +307,19 @@ def save_model(model: MlpModel, path) -> None:
     """Checkpoint as an .npz archive at exactly path: layer_sizes plus w0,b0,w1,b1,... arrays."""
     arrays = {"layer_sizes": np.array(model.layer_sizes, dtype=np.int64)}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
+        arrays |= {f"w{i}": w, f"b{i}": b}
     with open(path, "wb") as f:  # np.savez appends .npz to a path that lacks it, not to a file
         np.savez(f, **arrays)
 
 
 def load_model(path) -> MlpModel:
-    """The model of a save_model checkpoint, which must hold exactly the w{i}, b{i} arrays its layer_sizes name."""
+    """The model of a save_model checkpoint: layer_sizes (whole numbers >= 1) and exactly the w{i}, b{i} it names."""
     with np.load(path) as z:
         arrays = {name: z[name] for name in z.files}
-    sizes = tuple(int(s) for s in arrays.pop("layer_sizes"))
-    layers = range(len(sizes) - 1)
+    sizes = arrays.pop("layer_sizes", np.array(None))  # prints None when missing
+    whole = sizes.ndim == 1 and sizes.dtype.kind in "iuf" and all(float(s).is_integer() and s >= 1 for s in sizes)
+    sizes = tuple(int(s) for s in sizes) if whole else sizes
+    layers = range(len(sizes) - 1 if whole else 0)
     shapes = {**{f"w{i}": sizes[i:i + 2] for i in layers}, **{f"b{i}": sizes[i + 1:i + 2] for i in layers}}
     if not layers or {name: a.shape for name, a in arrays.items()} != shapes:
         raise ValueError(f"checkpoint arrays inconsistent with layer_sizes {sizes}")

@@ -23,7 +23,7 @@ from fisherrao.experiment import (
     run_sweep,
     summarize,
 )
-from fisherrao.losses import (CE, FR, HELLINGER, MAE, MSE, KINDS, LossSpec, fr_sum_bounds, loss_value, loss_values, qce,
+from fisherrao.losses import (CE, FR, HELLINGER, MAE, MSE, LossSpec, fr_sum_bounds, loss_value, loss_values, qce,
                               score_gradients)
 from fisherrao.mlp import batch_grad, init_model, MlpConfig
 from fisherrao.simplex import fisher_rao_distance, hellinger_distance, sample_simplex, softmax

@@ -5,14 +5,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fisherrao import mlp
 from fisherrao.data import LabeledDataset, SyntheticSpec, generate_synthetic
-from fisherrao.losses import (CE, FR, HELLINGER, MAE, MSE, LossSpec, loss_gradient_scores, loss_values, qce,
-                              score_gradients)
+from fisherrao.losses import CE, FR, HELLINGER, MAE, MSE, loss_gradient_scores, loss_values, qce, score_gradients
 from fisherrao.mlp import (
     MlpConfig,
     MlpModel,
     TrainingDiverged,
     TrainRecord,
+    _backward,
+    _forward,
+    _layers,
     _recorder,
     batch_grad,
     evaluate,
@@ -444,14 +447,19 @@ def test_checkpoint_round_trip(tmp_path):
     ((5, 4, 3), {"b0": np.zeros(7)}),
     ((5, 4, 3), {"w0": np.zeros((5, 4, 1))}),
     ((5, 4, 3), {"w1": None}),  # left out
-], ids=["hidden_size", "extra_layer", "long_bias", "3d_weight", "missing_w1"])
+    ([2.5, 3.0], {"w0": np.zeros((2, 3)), "b0": np.zeros(3), "w1": None, "b1": None}),  # int() would read 2-3
+    (None, {}),  # no layer_sizes at all
+    ([[5, 4, 3]], {}),
+], ids=["hidden_size", "extra_layer", "long_bias", "3d_weight", "missing_w1", "fractional_sizes", "missing_sizes",
+        "2d_sizes"])
 def test_checkpoint_whose_arrays_disagree_with_its_layer_sizes_is_rejected(tmp_path, sizes, changed):
     model = init_model(_config(layers=(5, 4, 3)))
-    arrays = {"layer_sizes": np.array(sizes), "w0": model.weights[0], "b0": model.biases[0], "w1": model.weights[1],
-              "b1": model.biases[1], **changed}
+    arrays = {"layer_sizes": None if sizes is None else np.array(sizes), "w0": model.weights[0], "b0": model.biases[0],
+              "w1": model.weights[1], "b1": model.biases[1], **changed}
     path = tmp_path / "model.npz"
     np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
-    with pytest.raises(ValueError, match=re.escape(f"checkpoint arrays inconsistent with layer_sizes {sizes}")):
+    shown = sizes if isinstance(sizes, tuple) else np.array(sizes)  # a rejected array prints as numpy prints it
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint arrays inconsistent with layer_sizes {shown}")):
         load_model(path)
 
 
@@ -696,3 +704,85 @@ def test_lockstep_rejects_a_model_that_does_not_match_its_config():
         train(deeper, train_ds, test_ds, cfg)
     with pytest.raises(ValueError, match=message):  # not numpy's error from stacking the members
         train_lockstep([init_model(cfg), deeper], [train_ds, train_ds], [cfg, cfg], _recorder(test_ds, 2, True))
+
+
+# ------------------------------------------------------- parameter buffers
+
+
+def _param_count(sizes):
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_layer_views_tile_their_buffer_in_order(rows):
+    sizes = (5, 4, 3)
+    buf = np.arange(float(np.prod(rows, dtype=int) * _param_count(sizes))).reshape(*rows, -1)
+    weights, biases = _layers(buf, sizes)
+    assert [w.shape for w in weights] == [(*rows, 5, 4), (*rows, 4, 3)]
+    assert [b.shape for b in biases] == [(*rows, 4), (*rows, 3)]
+    assert all(np.shares_memory(a, buf) for a in weights + biases)
+    laid_out = [a.reshape(*rows, -1) for a in (weights[0], biases[0], weights[1], biases[1])]
+    assert np.array_equal(np.concatenate(laid_out, axis=-1), buf)  # w0 b0 w1 b1, each weight row-major
+
+
+def test_lockstep_arrays_are_views_of_one_parameter_and_one_gradient_buffer(monkeypatch):
+    steps, step = [], mlp._step
+
+    def spy(stack, grad, *args):
+        steps.append((stack, grad))
+        return step(stack, grad, *args)
+
+    monkeypatch.setattr(mlp, "_step", spy)
+    train_ds, _ = _blobs(40)
+    configs = [MlpConfig((2, 4, 3, 2), CE, lr, 10, 2, seed=i) for i, lr in enumerate((0.1, 0.2, 0.3))]
+    models = [init_model(c) for c in configs]
+    train_lockstep(models, [train_ds] * 3, configs, _recorder(None, 2, True))
+    assert len(steps) == 8 and all(s is steps[0][0] and g is steps[0][1] for s, g in steps)  # no per-step arrays
+    stack, grad = steps[0]
+    params, grads = stack.weights[0].base, grad.weights[0].base
+    assert params.shape == grads.shape == (3, _param_count((2, 4, 3, 2))) and not np.shares_memory(params, grads)
+    assert all(np.shares_memory(a, params) for a in stack.weights + stack.biases)
+    assert all(np.shares_memory(a, grads) for a in grad.weights + grad.biases)
+    for i, model in enumerate(models):
+        for a in model.weights + model.biases:
+            assert [np.shares_memory(a, row) for row in params] == [j == i for j in range(3)]
+    gw, gb, _ = batch_grad(models[0], train_ds.features[:5], train_ds.labels[:5], CE)
+    buf = gw[0].base
+    assert buf.shape == (1, _param_count((2, 4, 3, 2))) and all(np.shares_memory(g, buf) for g in gw + gb)
+
+
+def test_a_diverged_member_keeps_a_detached_copy_while_the_group_trains_on():
+    features = np.arange(1.0, 13.0).reshape(6, 2)  # x > 0, 3 steps of 2 per epoch
+    ds = LabeledDataset(features, np.array([0, 1] * 3), 2)
+    configs = [MlpConfig((2, 3, 2), CE, 0.1, 2, 3, seed=i) for i in range(3)]
+    models = [init_model(c) for c in configs]
+    models[1].weights[0][0, 0] = -np.inf  # hidden behind ReLU: the member diverges at the end of epoch 1
+    solo, solo_model = _solo(models[1], ds, None, configs[1])
+    outcomes = train_lockstep(models, [ds] * 3, configs, _recorder(None, 3, True))
+    assert isinstance(outcomes[1], TrainingDiverged) and outcomes[1].epoch == solo.epoch == 1
+    assert [len(out) for out in (outcomes[0], outcomes[2])] == [3, 3]
+    params = models[0].weights[0].base
+    detached = models[1].weights + models[1].biases
+    assert not any(np.shares_memory(a, params) for a in detached)
+    _assert_same_params(models[1], solo_model)  # its values at the end of epoch 1, two epochs later
+    row = MlpModel(*_layers(params[1], (2, 3, 2)))
+    assert not all(np.array_equal(a, b) for a, b in zip(row.weights + row.biases, detached))  # the row trained on
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_backward_into_buffer_views_equals_per_member_products(r):
+    # wide_b64's shapes: the views' products and sums give the bits of fresh per-member arrays
+    sizes, batch = (784, 300, 100, 10), 64
+    rng = make_rng(51, r)
+    params, grads = rng.normal(size=(r, _param_count(sizes))), np.full((r, _param_count(sizes)), np.nan)
+    stack, grad = MlpModel(*_layers(params, sizes)), MlpModel(*_layers(grads, sizes))
+    acts = _forward(stack, rng.normal(size=(r, batch, sizes[0])))
+    delta = rng.normal(size=(r, batch, sizes[-1]))
+    _backward(stack, acts, delta, grad)
+    assert np.isfinite(grads).all()  # every entry written
+    for m in range(r):
+        d = delta[m]
+        for layer in range(len(sizes) - 2, -1, -1):
+            assert np.array_equal(grad.weights[layer][m], acts[layer][m].T @ d)
+            assert np.array_equal(grad.biases[layer][m], d.sum(axis=0))
+            d = (d @ stack.weights[layer][m].T) * (acts[layer][m] > 0.0)
